@@ -72,6 +72,22 @@ void BM_PaillierEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierEncrypt)->Arg(256)->Arg(512)->Arg(1024);
 
+// The randomizer r^n mod n^2 as the key holder raises it (CRT over p^2 and
+// q^2, PaillierPrivateKey::RaiseToN): what a data-provider pool refill pays
+// per value. Compare against BM_PaillierEncrypt at the same key size, whose
+// cost is the full-width ModExp mod n^2 the model provider still pays.
+void BM_PaillierRandomizerKeyHolder(benchmark::State& state) {
+  const int bits = static_cast<int>(state.range(0));
+  Rng rng(5);
+  auto keys = Paillier::GenerateKeyPair(bits, rng);
+  SecureRng srng = SecureRng::FromSeed(6);
+  const BigInt r = srng.NextCoprimeBelow(keys.value().public_key.n());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(keys.value().private_key.RaiseToN(r));
+  }
+}
+BENCHMARK(BM_PaillierRandomizerKeyHolder)->Arg(256)->Arg(512)->Arg(1024);
+
 void BM_PaillierDecrypt(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   Rng rng(7);
@@ -121,20 +137,25 @@ BENCHMARK(BM_PaillierScalarMulFixedBase)->Arg(10)->Arg(100000)->Arg(10000000);
 
 // Table-build cost for one input slot (break-even: this divided by the
 // per-call saving of BM_PaillierScalarMulFixedBase vs BM_PaillierScalarMul
-// gives the fan-out where tables start paying off).
+// gives the fan-out where tables start paying off). The second argument
+// adds the base^{-1} table for signed exponents: one full-width
+// ModInverse plus a second build, which the stage cache avoids by
+// building positive-only tables and batch-inverting per row slice.
 void BM_PaillierFixedBaseTableBuild(benchmark::State& state) {
   Rng rng(9);
   auto keys = Paillier::GenerateKeyPair(512, rng);
   SecureRng srng = SecureRng::FromSeed(10);
   auto c = Paillier::Encrypt(keys.value().public_key, BigInt(42), srng);
   const int64_t fan_out = state.range(0);
+  const bool allow_negative = state.range(1) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(Paillier::PrecomputeScalarMulBase(
         keys.value().public_key, c.value(), /*max_weight_bits=*/24,
-        /*allow_negative=*/false, fan_out));
+        allow_negative, fan_out));
   }
 }
-BENCHMARK(BM_PaillierFixedBaseTableBuild)->Arg(8)->Arg(64)->Arg(1024);
+BENCHMARK(BM_PaillierFixedBaseTableBuild)
+    ->ArgsProduct({{8, 64, 1024}, {0, 1}});
 
 // Pool-backed encryption: r^n comes precomputed, the request path is one
 // ModMul. Refills happen outside the timed region, mirroring a pool that

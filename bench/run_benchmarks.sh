@@ -222,7 +222,8 @@ awk '
     arg = (length(parts) > 1) ? parts[2] : ""
     kb = 0
     if (base == "BM_PaillierEncrypt" || base == "BM_PaillierDecrypt" ||
-        base == "BM_PaillierEncryptPooled") {
+        base == "BM_PaillierEncryptPooled" ||
+        base == "BM_PaillierRandomizerKeyHolder") {
       kb = arg + 0
     } else if (base ~ /^BM_Paillier/) {
       kb = 512

@@ -224,34 +224,92 @@ Result<Tensor<BigInt>> IntegerAffineLayer::ApplyPlain(
 
 namespace {
 
-/// Lazily-built Montgomery residents (and inverses) of the input slots,
-/// local to one row-slice evaluation (one thread).
+using MontValue = MontgomeryContext::MontValue;
+
+/// Lazily-built Montgomery residents of the input slots, local to one
+/// row-slice evaluation (one thread).
 class ResidentInputs {
  public:
   ResidentInputs(const MontgomeryContext& ctx,
                  const std::vector<Ciphertext>& in)
-      : ctx_(ctx), in_(in), mont_(in.size()), inv_(in.size()) {}
+      : ctx_(ctx), in_(in), mont_(in.size()) {}
 
-  const MontgomeryContext::MontValue& Mont(size_t pos) {
+  const MontValue& Mont(size_t pos) {
     if (mont_[pos].empty()) mont_[pos] = ctx_.ToMontgomery(in_[pos].value);
     return mont_[pos];
-  }
-
-  Result<const MontgomeryContext::MontValue*> Inverse(size_t pos) {
-    if (inv_[pos].empty()) {
-      PPS_ASSIGN_OR_RETURN(
-          BigInt v, BigInt::ModInverse(in_[pos].value, ctx_.modulus()));
-      inv_[pos] = ctx_.ToMontgomery(v);
-    }
-    return &inv_[pos];
   }
 
  private:
   const MontgomeryContext& ctx_;
   const std::vector<Ciphertext>& in_;
-  std::vector<MontgomeryContext::MontValue> mont_;
-  std::vector<MontgomeryContext::MontValue> inv_;
+  std::vector<MontValue> mont_;
 };
+
+/// Montgomery's batch-inversion trick over residents: inverts every entry
+/// of `values` in place with ONE BigInt::ModInverse of their product, plus
+/// 3 MontMuls per entry (prefix products forward, one walk back). Fails
+/// with ModInverse's status if any entry is not a unit.
+Status BatchInvertMont(const MontgomeryContext& ctx,
+                       std::vector<MontValue>* values) {
+  const size_t k = values->size();
+  if (k == 0) return Status::OK();
+  std::vector<MontValue> prefix(k);  // prefix[i] = values[0..i] multiplied
+  prefix[0] = (*values)[0];
+  for (size_t i = 1; i < k; ++i) {
+    ctx.MulMont(prefix[i - 1], (*values)[i], &prefix[i]);
+  }
+  PPS_ASSIGN_OR_RETURN(BigInt inv,
+                       BigInt::ModInverse(ctx.FromMontgomery(prefix[k - 1]),
+                                          ctx.modulus()));
+  // running = (values[0..i] multiplied)^{-1} as i walks down.
+  MontValue running = ctx.ToMontgomery(inv);
+  MontValue inv_i;
+  for (size_t i = k - 1; i > 0; --i) {
+    ctx.MulMont(running, prefix[i - 1], &inv_i);
+    ctx.MulMont(running, (*values)[i], &running);
+    (*values)[i].swap(inv_i);
+  }
+  (*values)[0].swap(running);
+  return Status::OK();
+}
+
+/// One row slice under the sign split. Row i accumulates its positive
+/// terms in pos[i] and the magnitudes of its negative terms in a separate
+/// product, so no input ciphertext is ever inverted: the row's output is
+/// pos · neg^{-1} · g^bias, the same residue as prod_t c_t^{w_t} · g^bias.
+struct SignSplitSlice {
+  explicit SignSplitSlice(size_t rows) : out(rows), pos(rows), bias(rows) {}
+
+  std::vector<Ciphertext> out;      // forwarded (identity) rows set here
+  std::vector<MontValue> pos;       // positive products, resident
+  std::vector<const BigInt*> bias;  // null for forwarded rows
+  std::vector<MontValue> neg;       // negative products of rows with any
+  std::vector<size_t> neg_rows;     // slice row of each neg entry
+};
+
+/// Inverts every negative product of the slice with one batch inverse,
+/// then emits pos · neg^{-1} · g^bias per row, converted back once.
+Result<std::vector<Ciphertext>> FinishSignSplit(const PaillierPublicKey& pk,
+                                                SignSplitSlice* slice) {
+  const MontgomeryContext& ctx = pk.ctx_n2();
+  PPS_RETURN_IF_ERROR(BatchInvertMont(ctx, &slice->neg));
+  for (size_t k = 0; k < slice->neg.size(); ++k) {
+    MontValue& acc = slice->pos[slice->neg_rows[k]];
+    ctx.MulMont(acc, slice->neg[k], &acc);
+  }
+  for (size_t i = 0; i < slice->out.size(); ++i) {
+    if (slice->bias[i] == nullptr) continue;
+    if (!slice->bias[i]->IsZero()) {
+      PPS_ASSIGN_OR_RETURN(
+          MontCiphertext with_bias,
+          Paillier::AddPlainMont(pk, MontCiphertext{std::move(slice->pos[i])},
+                                 *slice->bias[i]));
+      slice->pos[i] = std::move(with_bias.m);
+    }
+    slice->out[i] = Ciphertext{ctx.FromMontgomery(slice->pos[i])};
+  }
+  return std::move(slice->out);
+}
 
 /// Shared row-slice core for the whole-tensor and sub-tensor paths.
 /// `sub_indices == nullptr` means `in` is the full input (slot i at
@@ -270,64 +328,60 @@ Result<std::vector<Ciphertext>> EvalEncryptedRows(
         sub_indices->begin());
   };
 
-  std::vector<Ciphertext> out;
-  out.reserve(row_end - row_begin);
-  // Homomorphic weight applications (c^w in the Montgomery domain) count
+  SignSplitSlice slice(row_end - row_begin);
+  // Homomorphic weight applications (c^|w| in the Montgomery domain) count
   // as scalar muls even though they bypass Paillier::ScalarMul; batched
   // into one registry increment per call to keep the inner loop clean.
   static obs::Counter* scalar_muls =
       obs::MetricsRegistry::Global().GetCounter("crypto.scalar_muls");
   uint64_t muls_applied = 0;
-  MontgomeryContext::MontValue acc, term;
+  MontValue negative, term;
   for (size_t j = row_begin; j < row_end; ++j) {
+    const size_t i = j - row_begin;
     const AffineRow& row = rows[j];
     // Identity rows (Flatten and friends) forward the ciphertext — the
     // same bits the generic path yields, since E(0; r=1) * c^1 = c.
     if (row.terms.size() == 1 && row.terms[0].weight == 1 &&
         row.bias.IsZero()) {
-      out.push_back(in[position_of(row.terms[0].input_index)]);
+      slice.out[i] = in[position_of(row.terms[0].input_index)];
       continue;
     }
     // Eq. (3): prod_i E(m_i)^{w_i} * E(b), accumulated in the Montgomery
-    // domain; one conversion back per output element.
-    acc = ctx.OneMont();  // E(0) with r = 1
+    // domain with positive and negative weights in separate products.
+    MontValue& positive = slice.pos[i];
+    positive = ctx.OneMont();  // E(0) with r = 1
+    negative = ctx.OneMont();
+    bool has_negative = false;
     for (const AffineTerm& t : row.terms) {
       if (t.weight == 0) continue;  // c^0 = 1, the accumulation identity
       ++muls_applied;
+      MontValue& dst = t.weight > 0 ? positive : negative;
+      has_negative |= t.weight < 0;
+      const int64_t mag = t.weight < 0 ? -t.weight : t.weight;
       const FixedBaseExp* base =
           (cache != nullptr && t.input_index < cache->bases.size())
               ? cache->bases[t.input_index].get()
               : nullptr;
       if (base != nullptr) {
-        PPS_RETURN_IF_ERROR(base->PowMont(BigInt(t.weight), &term));
+        PPS_RETURN_IF_ERROR(base->PowMont(BigInt(mag), &term));
       } else {
-        const size_t pos = position_of(t.input_index);
-        if (t.weight == 1) {
-          ctx.MulMont(acc, resident.Mont(pos), &acc);
+        const MontValue& c = resident.Mont(position_of(t.input_index));
+        if (mag == 1) {
+          ctx.MulMont(dst, c, &dst);
           continue;
         }
-        const int64_t mag = t.weight < 0 ? -t.weight : t.weight;
-        if (t.weight < 0) {
-          PPS_ASSIGN_OR_RETURN(const MontgomeryContext::MontValue* inv,
-                               resident.Inverse(pos));
-          ctx.ExpMont(*inv, BigInt(mag), &term);
-        } else {
-          ctx.ExpMont(resident.Mont(pos), BigInt(mag), &term);
-        }
+        ctx.ExpMont(c, BigInt(mag), &term);
       }
-      ctx.MulMont(acc, term, &acc);
+      ctx.MulMont(dst, term, &dst);
     }
-    if (!row.bias.IsZero()) {
-      PPS_ASSIGN_OR_RETURN(
-          MontCiphertext with_bias,
-          Paillier::AddPlainMont(pk, MontCiphertext{std::move(acc)},
-                                 row.bias));
-      acc = std::move(with_bias.m);
+    slice.bias[i] = &row.bias;
+    if (has_negative) {
+      slice.neg.push_back(std::move(negative));
+      slice.neg_rows.push_back(i);
     }
-    out.push_back(Ciphertext{ctx.FromMontgomery(acc)});
   }
   if (muls_applied != 0) scalar_muls->Increment(muls_applied);
-  return out;
+  return FinishSignSplit(pk, &slice);
 }
 
 }  // namespace
@@ -342,10 +396,11 @@ Result<EncryptedStageCache> IntegerAffineLayer::BuildEncryptedStageCache(
   }
   if (min_fan_out <= 0) min_fan_out = kFixedBaseBreakEvenFanOut;
 
+  // Tables are positive-only: the kernels raise c to |w| and apply the
+  // sign by a batch inverse per row slice (see EvalEncryptedRows).
   struct SlotProfile {
     int64_t fan_out = 0;
     int max_weight_bits = 0;
-    bool has_negative = false;
   };
   std::vector<SlotProfile> profile(in.size());
   for (const AffineRow& row : rows_) {
@@ -354,7 +409,6 @@ Result<EncryptedStageCache> IntegerAffineLayer::BuildEncryptedStageCache(
       ++p.fan_out;
       p.max_weight_bits =
           std::max(p.max_weight_bits, BigInt(t.weight).BitLength());
-      p.has_negative |= t.weight < 0;
     }
   }
 
@@ -374,7 +428,8 @@ Result<EncryptedStageCache> IntegerAffineLayer::BuildEncryptedStageCache(
     PPS_ASSIGN_OR_RETURN(
         FixedBaseExp base,
         Paillier::PrecomputeScalarMulBase(pk, in[slot], p.max_weight_bits,
-                                          p.has_negative, p.fan_out));
+                                          /*allow_negative=*/false,
+                                          p.fan_out));
     cache.bases[slot] = std::make_shared<const FixedBaseExp>(std::move(base));
     return Status::OK();
   };
@@ -554,8 +609,7 @@ Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
   const MontgomeryContext& ctx = pk.ctx_n2();
   ResidentInputs resident(ctx, in);
 
-  std::vector<Ciphertext> out;
-  out.reserve(row_end - row_begin);
+  SignSplitSlice slice(row_end - row_begin);
   // A group pays one weight application (counted under crypto.scalar_muls,
   // same semantics as the scalar path) after |group|-1 ciphertext
   // multiplications that fold its members together (crypto.pack.hom_adds).
@@ -564,18 +618,25 @@ Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
   static obs::Counter* hom_adds =
       obs::MetricsRegistry::Global().GetCounter("crypto.pack.hom_adds");
   uint64_t muls_applied = 0, adds_applied = 0;
-  MontgomeryContext::MontValue acc, gacc, term;
+  MontValue negative, gacc, term;
   for (size_t j = row_begin; j < row_end; ++j) {
+    const size_t i = j - row_begin;
     const PackedRowPlan& row = rows_[j];
     if (row.identity) {
-      out.push_back(in[row.identity_input]);
+      slice.out[i] = in[row.identity_input];
       continue;
     }
-    acc = ctx.OneMont();  // E(0) with r = 1
+    MontValue& positive = slice.pos[i];
+    positive = ctx.OneMont();  // E(0) with r = 1
+    negative = ctx.OneMont();
+    bool has_negative = false;
     for (const PackedWeightGroup& group : row.groups) {
       ++muls_applied;
+      // Negative groups land in their own product (inverted per slice by
+      // FinishSignSplit), so every fold multiplies c_i, never c_i^{-1}.
+      MontValue& dst = group.weight > 0 ? positive : negative;
+      has_negative |= group.weight < 0;
       const int64_t mag = group.weight < 0 ? -group.weight : group.weight;
-      const bool negative = group.weight < 0;
       // Singleton groups with a cached fixed-base table skip the fold and
       // the resident conversion entirely.
       const FixedBaseExp* base =
@@ -584,47 +645,32 @@ Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
               ? cache->bases[group.inputs[0]].get()
               : nullptr;
       if (base != nullptr) {
-        PPS_RETURN_IF_ERROR(base->PowMont(BigInt(group.weight), &term));
-        ctx.MulMont(acc, term, &acc);
+        PPS_RETURN_IF_ERROR(base->PowMont(BigInt(mag), &term));
+        ctx.MulMont(dst, term, &dst);
         continue;
       }
       // Fold the group: E(sum of members), slot-parallel across lanes.
-      // Negative weights fold inverses so gacc^|w| = (prod c_i)^w.
-      bool first = true;
-      for (uint32_t input : group.inputs) {
-        const MontgomeryContext::MontValue* value;
-        if (negative) {
-          PPS_ASSIGN_OR_RETURN(value, resident.Inverse(input));
-        } else {
-          value = &resident.Mont(input);
-        }
-        if (first) {
-          gacc = *value;
-          first = false;
-        } else {
-          ctx.MulMont(gacc, *value, &gacc);
-          ++adds_applied;
-        }
+      gacc = resident.Mont(group.inputs[0]);
+      for (size_t m = 1; m < group.inputs.size(); ++m) {
+        ctx.MulMont(gacc, resident.Mont(group.inputs[m]), &gacc);
+        ++adds_applied;
       }
       if (mag == 1) {
-        ctx.MulMont(acc, gacc, &acc);
+        ctx.MulMont(dst, gacc, &dst);
       } else {
         ctx.ExpMont(gacc, BigInt(mag), &term);
-        ctx.MulMont(acc, term, &acc);
+        ctx.MulMont(dst, term, &dst);
       }
     }
-    if (!row.packed_bias.IsZero()) {
-      PPS_ASSIGN_OR_RETURN(
-          MontCiphertext with_bias,
-          Paillier::AddPlainMont(pk, MontCiphertext{std::move(acc)},
-                                 row.packed_bias));
-      acc = std::move(with_bias.m);
+    slice.bias[i] = &row.packed_bias;
+    if (has_negative) {
+      slice.neg.push_back(std::move(negative));
+      slice.neg_rows.push_back(i);
     }
-    out.push_back(Ciphertext{ctx.FromMontgomery(acc)});
   }
   if (muls_applied != 0) scalar_muls->Increment(muls_applied);
   if (adds_applied != 0) hom_adds->Increment(adds_applied);
-  return out;
+  return FinishSignSplit(pk, &slice);
 }
 
 Result<IntegerAffineLayer> IntegerAffineLayer::Compose(

@@ -46,7 +46,8 @@ struct AffineRow {
 /// threshold. Tables depend on the ciphertexts, so the cache is built once
 /// per encrypted input tensor and shared read-only by every row slice /
 /// worker thread of that evaluation. Slots below break-even stay null and
-/// fall back to per-call ExpMont.
+/// fall back to per-call ExpMont. Tables cover |w| only: the kernels apply
+/// a weight's sign through the row slice's batch inverse.
 struct EncryptedStageCache {
   /// bases[i] covers input slot i, or null when no table was built for it.
   std::vector<std::shared_ptr<const FixedBaseExp>> bases;
@@ -101,7 +102,10 @@ class IntegerAffineLayer {
   /// output-tensor partitioning across threads; pass 0, rows().size() for
   /// the whole output. Rows accumulate Montgomery-resident and convert
   /// back once per output element; with a `cache` (built on this exact
-  /// `in`), high-fan-out slots use its fixed-base tables.
+  /// `in`), high-fan-out slots use its fixed-base tables. Each row keeps
+  /// positive and negative terms in separate products P and N and
+  /// outputs P * N^{-1} * g^bias, with one ModInverse for all the N of
+  /// the slice, so no input ciphertext is ever inverted.
   Result<std::vector<Ciphertext>> ApplyEncryptedRows(
       const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
       size_t row_begin, size_t row_end,

@@ -370,9 +370,11 @@ DataProvider::DataProvider(std::shared_ptr<const InferencePlan> plan,
       16384));
   // Default low_water (== capacity) keeps the background producer topping
   // up after every take; a lower trigger would let bursts race ahead.
+  // Built from the key pair, so randomizers are raised by CRT with the
+  // primes the data provider already holds (same r stream, same values).
   uint64_t pool_seed = enc_seed ^ 0x9E3779B97F4A7C15ULL;
   enc_pool_ = std::make_unique<RandomizerPool>(
-      keys_.public_key, SplitMix64(pool_seed), pool_options);
+      keys_, SplitMix64(pool_seed), pool_options);
   if (options.prefill) enc_pool_->Fill();
 }
 

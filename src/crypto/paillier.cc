@@ -60,6 +60,13 @@ Result<BigInt> LFunction(const BigInt& x, const BigInt& d) {
   return q;
 }
 
+/// v mod m for one of the key's own (positive) moduli, which cannot fail.
+BigInt ReduceByKeyModulus(const BigInt& v, const BigInt& m) {
+  Result<BigInt> reduced = v.Mod(m);
+  PPS_CHECK(reduced.ok()) << reduced.status().ToString();
+  return std::move(reduced).value();
+}
+
 }  // namespace
 
 Result<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(const BigInt& p,
@@ -71,8 +78,14 @@ Result<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(const BigInt& p,
   sk.p_squared_ = p * p;
   sk.q_squared_ = q * q;
   sk.n_ = p * q;
+  sk.ctx_p_ = std::make_shared<MontgomeryContext>(p);
+  sk.ctx_q_ = std::make_shared<MontgomeryContext>(q);
   sk.ctx_p2_ = std::make_shared<MontgomeryContext>(sk.p_squared_);
   sk.ctx_q2_ = std::make_shared<MontgomeryContext>(sk.q_squared_);
+  PPS_ASSIGN_OR_RETURN(sk.q_mod_pm1_, q.Mod(p - BigInt(1)));
+  PPS_ASSIGN_OR_RETURN(sk.p_mod_qm1_, p.Mod(q - BigInt(1)));
+  PPS_ASSIGN_OR_RETURN(sk.p2_inv_q2_,
+                       BigInt::ModInverse(sk.p_squared_, sk.q_squared_));
 
   // With g = n + 1: hp = L_p(g^{p-1} mod p^2)^{-1} mod p.
   const BigInt g = sk.n_ + BigInt(1);
@@ -113,6 +126,22 @@ Result<BigInt> PaillierPrivateKey::DecryptRaw(const Ciphertext& c) const {
   BigInt diff = BigInt::SubMod(mq, mp, q_);
   BigInt h = BigInt::MulMod(diff, p_inv_q_, q_);
   return mp + p_ * h;
+}
+
+BigInt PaillierPrivateKey::RaiseToN(const BigInt& r) const {
+  PPS_CHECK(!n_.IsZero()) << "RaiseToN on an uninitialized private key";
+  // p | n, so (r + kp)^n ≡ r^n (mod p^2): only r mod p matters. Writing
+  // r^n = (r^q)^p, the inner power needs only its residue mod p (same
+  // lifting argument), where Fermat cuts the exponent q to q mod (p-1).
+  const BigInt xp = ctx_p2_->ModExp(
+      ctx_p_->ModExp(ReduceByKeyModulus(r, p_), q_mod_pm1_), p_);
+  const BigInt xq = ctx_q2_->ModExp(
+      ctx_q_->ModExp(ReduceByKeyModulus(r, q_), p_mod_qm1_), q_);
+  // CRT: x = xp + p^2 * ((xq - xp) * (p^2)^{-1} mod q^2), which lies in
+  // [0, n^2) — the canonical representative ModExp mod n^2 returns.
+  const BigInt diff = BigInt::SubMod(
+      xq, ReduceByKeyModulus(xp, q_squared_), q_squared_);
+  return xp + p_squared_ * BigInt::MulMod(diff, p2_inv_q2_, q_squared_);
 }
 
 Result<PaillierKeyPair> Paillier::GenerateKeyPair(int key_bits, Rng& rng) {

@@ -13,7 +13,12 @@
 //  * Signed plaintexts are encoded into Z_n: values in (n/2, n) decode as
 //    negatives. |m| must stay below n/2; linear layers guarantee this by
 //    construction (parameter scaling bounds the dynamic range).
-//  * Montgomery contexts for n^2, p^2, q^2 are precomputed per key.
+//  * Montgomery contexts for n^2, p^2, q^2 (and p, q on the private key)
+//    are precomputed per key.
+//  * The key holder raises randomizers by CRT (PaillierPrivateKey::
+//    RaiseToN): r^n mod p^2 depends only on r mod p, so two half-width
+//    exponentiations per prime replace one full-width ModExp mod n^2, with
+//    the same canonical result (DESIGN.md §8).
 
 #pragma once
 
@@ -90,13 +95,23 @@ class PaillierPrivateKey {
   /// Raw decryption to the canonical representative in [0, n).
   Result<BigInt> DecryptRaw(const Ciphertext& c) const;
 
+  /// r^n mod n^2 for r >= 0, bit-identical to ctx_n2().ModExp(r, n) but
+  /// computed from the factorization: r^n ≡ ((r mod p)^(q mod (p-1)) mod
+  /// p)^p (mod p^2), the same mod q^2, recombined by CRT. Requires a key
+  /// built by FromPrimes (checked). Timing exposure is the class
+  /// DecryptRaw already has: secret moduli and fixed per-key exponents.
+  BigInt RaiseToN(const BigInt& r) const;
+
  private:
   BigInt p_, q_;
   BigInt p_squared_, q_squared_;
   BigInt n_;
   BigInt hp_, hq_;      // L_p(g^{p-1} mod p^2)^{-1} mod p, and q analog
   BigInt p_inv_q_;      // p^{-1} mod q, for CRT recombination
-  std::shared_ptr<MontgomeryContext> ctx_p2_, ctx_q2_;
+  BigInt q_mod_pm1_;    // q mod (p-1): the exponent of r mod p in RaiseToN
+  BigInt p_mod_qm1_;    // p mod (q-1), the q analog
+  BigInt p2_inv_q2_;    // (p^2)^{-1} mod q^2, for RaiseToN's recombination
+  std::shared_ptr<MontgomeryContext> ctx_p_, ctx_q_, ctx_p2_, ctx_q2_;
 };
 
 struct PaillierKeyPair {

@@ -7,12 +7,39 @@
 
 namespace ppstream {
 
+namespace {
+
+/// The key pair's private half, refused unless it factors the public n.
+PaillierPrivateKey CheckedPrivateKey(const PaillierKeyPair& keys) {
+  const PaillierPrivateKey& sk = keys.private_key;
+  PPS_CHECK((sk.p() * sk.q()).Compare(keys.public_key.n()) == 0)
+      << "RandomizerPool: the private key is uninitialized or does not "
+         "factor the public modulus";
+  return sk;
+}
+
+}  // namespace
+
 RandomizerPool::RandomizerPool(PaillierPublicKey pk, uint64_t seed)
     : RandomizerPool(std::move(pk), seed, Options()) {}
 
 RandomizerPool::RandomizerPool(PaillierPublicKey pk, uint64_t seed,
                                Options options)
+    : RandomizerPool(std::move(pk), std::nullopt, seed, options) {}
+
+RandomizerPool::RandomizerPool(const PaillierKeyPair& keys, uint64_t seed)
+    : RandomizerPool(keys, seed, Options()) {}
+
+RandomizerPool::RandomizerPool(const PaillierKeyPair& keys, uint64_t seed,
+                               Options options)
+    : RandomizerPool(keys.public_key, CheckedPrivateKey(keys), seed,
+                     options) {}
+
+RandomizerPool::RandomizerPool(PaillierPublicKey pk,
+                               std::optional<PaillierPrivateKey> sk,
+                               uint64_t seed, Options options)
     : pk_(std::move(pk)),
+      sk_(std::move(sk)),
       options_([&] {
         Options o = options;
         o.capacity = std::max<size_t>(o.capacity, 1);
@@ -47,6 +74,7 @@ BigInt RandomizerPool::NextRLocked() {
 }
 
 BigInt RandomizerPool::Raise(const BigInt& r) const {
+  if (sk_.has_value()) return sk_->RaiseToN(r);
   return pk_.ctx_n2().ModExp(r, pk_.n());
 }
 

@@ -13,6 +13,12 @@
 // assignment of sequence elements to callers follows arrival order, as
 // with any shared seeded RNG.) An exhausted pool computes on demand from
 // the same stream — callers never block on a refill.
+//
+// Key holder: a pool built from the key pair (the data provider's) raises
+// each r by CRT through PaillierPrivateKey::RaiseToN — 2.5x cheaper than
+// the n^2 path at 512-bit keys (EXPERIMENTS.md) and bit-identical to it,
+// so the sequence above is the same whichever constructor built the pool. A public-key-only pool (the
+// model provider's rerandomizer) keeps the full-width ModExp mod n^2.
 
 #pragma once
 
@@ -20,8 +26,8 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
-
 #include <vector>
 
 #include "crypto/paillier.h"
@@ -59,6 +65,11 @@ class RandomizerPool {
   /// `seed` derives the CSPRNG producing the r values.
   RandomizerPool(PaillierPublicKey pk, uint64_t seed);
   RandomizerPool(PaillierPublicKey pk, uint64_t seed, Options options);
+  /// Key-holder pool: raises by CRT with the private key. Aborts if the
+  /// private key is uninitialized or does not factor the public modulus
+  /// (a mismatched key would silently yield values that are not r^n).
+  RandomizerPool(const PaillierKeyPair& keys, uint64_t seed);
+  RandomizerPool(const PaillierKeyPair& keys, uint64_t seed, Options options);
   ~RandomizerPool();
 
   RandomizerPool(const RandomizerPool&) = delete;
@@ -88,10 +99,14 @@ class RandomizerPool {
   const PaillierPublicKey& public_key() const { return pk_; }
 
  private:
+  RandomizerPool(PaillierPublicKey pk, std::optional<PaillierPrivateKey> sk,
+                 uint64_t seed, Options options);
+
   /// Draws the next r from the stream. Caller must hold mutex_.
   BigInt NextRLocked() PPS_REQUIRES(mutex_);
-  /// Computes r^n mod n^2 (expensive; never call with the lock held —
-  /// every Take would stall behind the exponentiation).
+  /// Computes r^n mod n^2 — by CRT when the pool holds the private key
+  /// (expensive either way; never call with the lock held — every Take
+  /// would stall behind the exponentiation).
   BigInt Raise(const BigInt& r) const PPS_EXCLUDES(mutex_);
   void EnsureRefillThreadLocked() PPS_REQUIRES(mutex_);
   /// unique_lock/cv juggling Clang's analysis cannot model; ppslint R6
@@ -99,6 +114,8 @@ class RandomizerPool {
   void RefillLoop() PPS_NO_THREAD_SAFETY_ANALYSIS;
 
   const PaillierPublicKey pk_;
+  /// Present only in a key-holder pool; selects Raise's CRT path.
+  const std::optional<PaillierPrivateKey> sk_;
   const Options options_;
 
   /// Aggregated process-wide mirrors of stats_ (see Stats doc).

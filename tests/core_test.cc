@@ -538,17 +538,163 @@ TEST_F(ProtocolTest, PartitionedApplyMatchesSerial) {
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ASSERT_EQ(parallel.value().size(), serial.value().size());
     for (size_t j = 0; j < serial.value().size(); ++j) {
-      // Decrypted plaintexts must match (ciphertexts are deterministic
-      // here because linear ops add no fresh randomness).
-      auto a = Paillier::Decrypt(keys_->public_key, keys_->private_key,
-                                 serial.value()[j]);
-      auto b = Paillier::Decrypt(keys_->public_key, keys_->private_key,
-                                 parallel.value()[j]);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(a.value().Compare(b.value()), 0)
+      // Ciphertexts must match bit for bit: linear ops add no fresh
+      // randomness, and every slicing computes the same canonical residue.
+      EXPECT_EQ(parallel.value()[j].value.Compare(serial.value()[j].value), 0)
           << "row " << j << " input_part=" << input_part;
     }
   }
+}
+
+// One Dense op whose rows cover every sign pattern the kernels special-
+// case, at F = 100 so weight k/100 lowers to the integer k.
+IntegerAffineLayer SignPatternDenseOp() {
+  const std::vector<std::vector<int64_t>> weights = {
+      {3, 17, 150, 1, 20, 40},          // all positive
+      {-3, -17, -150, -1, -20, -40},    // all negative
+      {1, -1, 5, -7, 1234, -999},       // mixed, with +/-1 and wide weights
+      {0, 0, 1, 0, 0, 0},               // identity (forwarded)
+      {0, 0, 0, 0, 0, 0},               // zero weights, no bias: E(0)
+      {0, 0, 0, 0, 0, 0},               // zero weights, biased
+      {2, -3, 0, 0, 4, -5},             // mixed, biased
+      {-2, -2, -2, -9, 0, -1},          // all negative, biased
+  };
+  const std::vector<double> bias = {0, 0, 0, 0, 0, 0.37, -0.42, 0.15};
+  DenseLayer dense(6, static_cast<int64_t>(weights.size()));
+  for (size_t o = 0; o < weights.size(); ++o) {
+    for (size_t i = 0; i < 6; ++i) {
+      dense.weights()[static_cast<int64_t>(o * 6 + i)] =
+          static_cast<double>(weights[o][i]) / 100.0;
+    }
+    dense.bias()[static_cast<int64_t>(o)] = bias[o];
+  }
+  auto op = IntegerAffineLayer::FromLayer(dense, Shape{6}, 100, 1);
+  PPS_CHECK_OK(op.status());
+  return std::move(op).value();
+}
+
+// Recomputes every row with the public per-term Paillier primitives
+// (ScalarMul / Add / AddPlain): the canonical ciphertexts every optimized
+// kernel must reproduce bit for bit.
+std::vector<Ciphertext> CanonicalRowsReference(
+    const PaillierPublicKey& pk, const IntegerAffineLayer& op,
+    const std::vector<Ciphertext>& in) {
+  std::vector<Ciphertext> out;
+  for (const AffineRow& row : op.rows()) {
+    Ciphertext acc = Paillier::EncryptZeroDeterministic(pk);
+    for (const AffineTerm& t : row.terms) {
+      auto term = Paillier::ScalarMul(pk, in[t.input_index], BigInt(t.weight));
+      PPS_CHECK_OK(term.status());
+      acc = Paillier::Add(pk, acc, term.value());
+    }
+    if (!row.bias.IsZero()) {
+      auto biased = Paillier::AddPlain(pk, acc, row.bias);
+      PPS_CHECK_OK(biased.status());
+      acc = std::move(biased).value();
+    }
+    out.push_back(std::move(acc));
+  }
+  return out;
+}
+
+void ExpectSameCiphertexts(const std::vector<Ciphertext>& got,
+                           const std::vector<Ciphertext>& want,
+                           size_t want_offset, const std::string& what) {
+  ASSERT_LE(got.size() + want_offset, want.size()) << what;
+  for (size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].value.Compare(want[want_offset + j].value), 0)
+        << what << ", row " << want_offset + j;
+  }
+}
+
+TEST_F(ProtocolTest, AffineKernelsMatchCanonicalReferenceBitExact) {
+  const PaillierPublicKey& pk = keys_->public_key;
+  const IntegerAffineLayer op = SignPatternDenseOp();
+  const std::vector<AffineRow>& rows = op.rows();
+  ASSERT_EQ(rows.size(), 8u);
+  ASSERT_TRUE(rows[3].terms.size() == 1 && rows[3].terms[0].weight == 1 &&
+              rows[3].bias.IsZero())
+      << "row 3 must take the identity fast path";
+  ASSERT_TRUE(rows[4].terms.empty() && rows[4].bias.IsZero());
+  ASSERT_TRUE(rows[5].terms.empty() && !rows[5].bias.IsZero());
+
+  SecureRng rng = SecureRng::FromSeed(131);
+  std::vector<Ciphertext> in;
+  Tensor<BigInt> plain{Shape{6}};
+  for (int64_t i = 0; i < 6; ++i) {
+    plain[i] = BigInt(int64_t{37} * i - 100);
+    auto c = Paillier::Encrypt(pk, plain[i], rng);
+    ASSERT_TRUE(c.ok());
+    in.push_back(std::move(c).value());
+  }
+  const std::vector<Ciphertext> want = CanonicalRowsReference(pk, op, in);
+  // The reference itself decrypts to the exact integer affine map.
+  auto expected = op.ApplyPlain(plain);
+  ASSERT_TRUE(expected.ok());
+  for (size_t j = 0; j < want.size(); ++j) {
+    auto m = Paillier::Decrypt(pk, keys_->private_key, want[j]);
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(m.value(), expected.value()[static_cast<int64_t>(j)])
+        << "reference row " << j;
+  }
+
+  auto whole = op.ApplyEncryptedRows(pk, in, 0, rows.size());
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ExpectSameCiphertexts(whole.value(), want, 0, "no cache");
+  // A slice batch-inverts only its own rows.
+  auto slice = op.ApplyEncryptedRows(pk, in, 2, 7);
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  ExpectSameCiphertexts(slice.value(), want, 2, "rows [2, 7)");
+
+  // min_fan_out=1: a table for every slot with a weight of 2+ bits; the
+  // tables are positive-only, negative weights still come out exact.
+  auto cache = op.BuildEncryptedStageCache(pk, in, nullptr, /*min_fan_out=*/1);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  EXPECT_EQ(cache.value().tables_built, 6);
+  for (const auto& base : cache.value().bases) {
+    ASSERT_NE(base, nullptr);
+    EXPECT_FALSE(base->allows_negative());
+  }
+  auto cached = op.ApplyEncryptedRows(pk, in, 0, rows.size(), &cache.value());
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  ExpectSameCiphertexts(cached.value(), want, 0, "min_fan_out=1 cache");
+
+  ThreadPool pool(3);
+  auto partition = PartitionOp(op, 3);
+  ASSERT_TRUE(partition.ok());
+  const EncryptedStageCache* caches[] = {nullptr, &cache.value()};
+  for (bool input_part : {false, true}) {
+    for (const EncryptedStageCache* c : caches) {
+      auto parallel = ApplyEncryptedPartitioned(pk, op, in, partition.value(),
+                                                input_part, &pool, c);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ASSERT_EQ(parallel.value().size(), want.size());
+      ExpectSameCiphertexts(
+          parallel.value(), want, 0,
+          std::string("partitioned, input_part=") +
+              (input_part ? "1" : "0") + (c != nullptr ? ", cached" : ""));
+    }
+  }
+}
+
+TEST_F(ProtocolTest, NonUnitInputFailsOnlyUnderANegativeWeight) {
+  // p is not a unit mod n^2. Under a positive weight it is just a factor
+  // of the positive product; under a negative weight the row slice's batch
+  // inverse fails with ModInverse's status, as inverting the input did.
+  const PaillierPublicKey& pk = keys_->public_key;
+  const IntegerAffineLayer op = SignPatternDenseOp();
+  SecureRng rng = SecureRng::FromSeed(137);
+  std::vector<Ciphertext> in;
+  for (int64_t i = 0; i < 6; ++i) {
+    auto c = Paillier::Encrypt(pk, BigInt(i), rng);
+    ASSERT_TRUE(c.ok());
+    in.push_back(std::move(c).value());
+  }
+  in[2] = Ciphertext{keys_->private_key.p()};
+  auto positive_only = op.ApplyEncryptedRows(pk, in, 0, 1);
+  EXPECT_TRUE(positive_only.ok()) << positive_only.status().ToString();
+  auto negative = op.ApplyEncryptedRows(pk, in, 1, 2);
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ProtocolTest, StageCacheMatchesNoCacheBitExact) {

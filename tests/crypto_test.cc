@@ -298,6 +298,35 @@ TEST(PaillierKeygenTest, DifferentKeySizesWork) {
   }
 }
 
+TEST(PaillierRaiseToNTest, MatchesModExpModNSquaredBitExact) {
+  // The key holder's CRT path must return the canonical r^n mod n^2 the
+  // public path computes, bit for bit, or a key-holder pool would change
+  // every ciphertext it touches.
+  Rng rng(71);
+  for (int bits : {256, 512, 1024}) {
+    auto pair = Paillier::GenerateKeyPair(bits, rng);
+    ASSERT_TRUE(pair.ok()) << bits;
+    const PaillierPublicKey& pk = pair.value().public_key;
+    const PaillierPrivateKey& sk = pair.value().private_key;
+    const BigInt& p = sk.p();
+    auto expect_same = [&](const BigInt& r, const char* what) {
+      EXPECT_EQ(sk.RaiseToN(r).Compare(pk.ctx_n2().ModExp(r, pk.n())), 0)
+          << bits << "-bit key, " << what << ", r = " << r;
+    };
+    SecureRng srng = SecureRng::FromSeed(static_cast<uint64_t>(bits));
+    for (int i = 0; i < 200; ++i) {
+      expect_same(srng.NextCoprimeBelow(pk.n()), "seeded r");
+    }
+    expect_same(BigInt(1), "r = 1");
+    expect_same(pk.n() - BigInt(1), "r = n - 1");
+    expect_same(BigInt(2), "r < p");
+    expect_same(p - BigInt(1), "r = p - 1 < p");
+    expect_same(srng.NextCoprimeBelow(p), "random r < p");
+    expect_same(p + BigInt(1), "r = p + 1 ≡ 1 (mod p)");
+    expect_same(p * sk.q() - p + BigInt(1), "r = n - p + 1 ≡ 1 (mod p)");
+  }
+}
+
 // ------------------------------------------------------------ Permutation
 
 TEST(PermutationTest, IdentityIsNoOp) {
@@ -414,6 +443,31 @@ TEST_F(AmortizedPaillierTest, PoolSequenceIsDeterministicForSameSeed) {
   RandomizerPool c(keys_->public_key, 92, no_refill);
   RandomizerPool d(keys_->public_key, 91, no_refill);
   EXPECT_NE(c.Take().Compare(d.Take()), 0) << "different seeds must diverge";
+
+  // A key-holder pool raises by CRT; same seed, same sequence as the
+  // public-key pool's ModExp mod n^2, pool-served and on demand alike.
+  RandomizerPool holder(*keys_, 91, no_refill);
+  RandomizerPool public_only(keys_->public_key, 91, no_refill);
+  holder.Fill();
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_EQ(holder.Take().Compare(public_only.Take()), 0)
+        << "key-holder position " << i;
+  }
+  EXPECT_GT(holder.stats().hits, 0u);
+  EXPECT_GT(holder.stats().misses, 0u);
+}
+
+TEST_F(AmortizedPaillierTest, KeyHolderPoolRefusesMismatchedPrivateKey) {
+  // A private key that does not factor n would silently produce values
+  // that are not r^n mod n^2; the pool must refuse it outright.
+  Rng rng(59);
+  auto other = Paillier::GenerateKeyPair(512, rng);
+  ASSERT_TRUE(other.ok());
+  const PaillierKeyPair mismatched{keys_->public_key,
+                                   other.value().private_key};
+  EXPECT_DEATH({ RandomizerPool pool(mismatched, 1); }, "does not factor");
+  const PaillierKeyPair uninitialized{keys_->public_key, PaillierPrivateKey()};
+  EXPECT_DEATH({ RandomizerPool pool(uninitialized, 1); }, "uninitialized");
 }
 
 TEST_F(AmortizedPaillierTest, TakeManyMatchesRepeatedTake) {
@@ -451,18 +505,20 @@ TEST_F(AmortizedPaillierTest, ExhaustedPoolComputesOnDemandAndRefills) {
 
 TEST_F(AmortizedPaillierTest, ConcurrentTakesAreSafeAndValid) {
   // TSan-targeted: hammer Take/Encrypt from several threads while the
-  // background refill thread runs. Every randomizer must decrypt a valid
-  // encryption of its plaintext.
+  // background refill thread runs. A key-holder pool, so the refill thread
+  // and the on-demand callers share the private key's Montgomery contexts.
+  // Every randomizer must decrypt a valid encryption of its plaintext.
   RandomizerPool::Options options;
   options.capacity = 16;
   options.low_water = 8;
-  RandomizerPool pool(keys_->public_key, 97, options);
+  RandomizerPool pool(*keys_, 97, options);
   pool.Fill();
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 8;
   std::vector<std::thread> threads;
   std::vector<Status> failures(kThreads, Status::OK());
+  std::vector<std::vector<Ciphertext>> encrypted(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
@@ -471,11 +527,19 @@ TEST_F(AmortizedPaillierTest, ConcurrentTakesAreSafeAndValid) {
           failures[t] = c.status();
           return;
         }
+        encrypted[t].push_back(std::move(c).value());
       }
     });
   }
   for (auto& th : threads) th.join();
   for (const Status& st : failures) EXPECT_TRUE(st.ok()) << st.ToString();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(encrypted[t].size(), static_cast<size_t>(kPerThread));
+    for (int i = 0; i < kPerThread; ++i) {
+      EXPECT_EQ(DecryptToInt(encrypted[t][i]), t * 1000 + i)
+          << "thread " << t << " take " << i;
+    }
+  }
   auto stats = pool.stats();
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads * kPerThread));

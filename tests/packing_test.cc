@@ -373,6 +373,105 @@ TEST_F(PackedKernelTest, SingleLaneDegenerateMatchesScalarPathExactly) {
   }
 }
 
+TEST_F(PackedKernelTest, MatchesCanonicalReferenceBitExact) {
+  // Rows built for every group shape: singleton groups of both signs,
+  // folded positive and folded negative groups, mixed signs in one row,
+  // an identity row, a zero-weight biased row, and biased rows. Weight k
+  // at F = 100 is k / 100.
+  const std::vector<std::vector<int64_t>> weights = {
+      {3, -5, 7, -11, 13, 0},       // singletons, mixed signs
+      {4, 4, 4, 2, 2, 0},           // folded, all positive
+      {-6, -6, 6, 6, -1, -1},       // folded, mixed signs, |w| = 1 group
+      {0, 1, 0, 0, 0, 0},           // identity (forwarded)
+      {-2, -2, -3, -3, -3, -7},     // folded, all negative, biased
+      {0, 0, 0, 0, 0, 0},           // zero weights, biased
+      {1, 1, 1, 1, 1, 1},           // one weight-1 group of six, biased
+  };
+  const std::vector<double> bias = {0, 0, 0, 0, -0.3, 0.21, 0.5};
+  DenseLayer dense(6, static_cast<int64_t>(weights.size()));
+  for (size_t o = 0; o < weights.size(); ++o) {
+    for (size_t i = 0; i < 6; ++i) {
+      dense.weights()[static_cast<int64_t>(o * 6 + i)] =
+          static_cast<double>(weights[o][i]) / 100.0;
+    }
+    dense.bias()[static_cast<int64_t>(o)] = bias[o];
+  }
+  auto affine = IntegerAffineLayer::FromLayer(dense, Shape{6}, 100, 1);
+  ASSERT_TRUE(affine.ok());
+  const BigInt input_bound(200);
+  auto layout = ChoosePackedLayout(
+      kTestKeyBits, affine.value().OutputMagnitudeBound(input_bound), 2, 64);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  ASSERT_GT(layout.value().lanes, 1);
+  auto kernel =
+      PackedAffineKernel::Build(affine.value(), layout.value(), input_bound);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  const std::vector<PackedRowPlan>& plans = kernel.value().rows();
+  ASSERT_EQ(plans.size(), weights.size());
+  EXPECT_TRUE(plans[3].identity);
+  EXPECT_EQ(plans[1].groups.size(), 2u);  // {2: 3,4}, {4: 0,1,2}
+  EXPECT_EQ(plans[2].groups.size(), 3u);  // {-6: 0,1}, {-1: 4,5}, {6: 2,3}
+
+  const PaillierPublicKey& pk = keys_->public_key;
+  Rng vals(141);
+  SecureRng enc_rng = SecureRng::FromSeed(143);
+  std::vector<Ciphertext> words;
+  for (int64_t t = 0; t < 6; ++t) {
+    std::vector<BigInt> slots;
+    for (int32_t l = 0; l < layout.value().lanes; ++l) {
+      slots.emplace_back(static_cast<int64_t>(vals.NextUniform(-200, 200)));
+    }
+    auto packed = PackSigned(layout.value(), slots);
+    ASSERT_TRUE(packed.ok());
+    auto c = Paillier::Encrypt(pk, packed.value(), enc_rng);
+    ASSERT_TRUE(c.ok());
+    words.push_back(std::move(c).value());
+  }
+
+  // Per-term public primitives over the packed words, with the
+  // replicated bias: prod_g (prod_{i in g} c_i)^{w_g} is the same residue
+  // as prod_i c_i^{w_i}, so grouping must not change a bit.
+  std::vector<Ciphertext> want;
+  for (size_t j = 0; j < plans.size(); ++j) {
+    Ciphertext acc = Paillier::EncryptZeroDeterministic(pk);
+    for (const AffineTerm& t : affine.value().rows()[j].terms) {
+      auto term = Paillier::ScalarMul(pk, words[t.input_index],
+                                      BigInt(t.weight));
+      ASSERT_TRUE(term.ok());
+      acc = Paillier::Add(pk, acc, term.value());
+    }
+    if (!plans[j].packed_bias.IsZero()) {
+      auto biased = Paillier::AddPlain(pk, acc, plans[j].packed_bias);
+      ASSERT_TRUE(biased.ok());
+      acc = std::move(biased).value();
+    }
+    want.push_back(std::move(acc));
+  }
+
+  auto cache = affine.value().BuildEncryptedStageCache(pk, words, nullptr,
+                                                       /*min_fan_out=*/1);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  EXPECT_GT(cache.value().tables_built, 0);
+  const EncryptedStageCache* caches[] = {nullptr, &cache.value()};
+  for (const EncryptedStageCache* c : caches) {
+    auto out = kernel.value().ApplyEncryptedRowsPacked(pk, words, 0,
+                                                       plans.size(), c);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out.value().size(), want.size());
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(out.value()[j].value.Compare(want[j].value), 0)
+          << "row " << j << (c != nullptr ? " (cached)" : "");
+    }
+    // A slice batch-inverts only its own rows.
+    auto slice = kernel.value().ApplyEncryptedRowsPacked(pk, words, 2, 5, c);
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+    for (size_t j = 0; j < slice.value().size(); ++j) {
+      EXPECT_EQ(slice.value()[j].value.Compare(want[2 + j].value), 0)
+          << "slice row " << 2 + j << (c != nullptr ? " (cached)" : "");
+    }
+  }
+}
+
 TEST_F(PackedKernelTest, BuildRejectsLayoutTooSmallForBound) {
   Rng rng(11);
   auto dense = DenseLayer::Random(6, 2, rng);
