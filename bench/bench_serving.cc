@@ -22,7 +22,7 @@
 //     ratio must average within ±5% of the plan-derived budget;
 //   - a packed-batch probe (in-process, RunPackedBatchInference needs
 //     concrete providers) must land its measured/expected ratios in the
-//     same band against ExpectedPackedBatchCost.
+//     same band against ExpectedRequestCost.
 // At higher levels same-component intervals overlap and those samples
 // are skipped (cost.contended_skips) rather than mispriced — the bench
 // reports how many survive per level.
@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
       << "/statusz leaked a session id field";
 
   // ---- packed-batch probe (in-process: the packed driver needs the
-  // concrete providers) against ExpectedPackedBatchCost.
+  // concrete providers) against ExpectedRequestCost.
   CompileOptions pack_opts;
   pack_opts.packing = planner::PackingSpec{};
   pack_opts.packing->key_bits = key_bits;
@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
                                             num_inputs]);
   }
   const obs::RequestCostBudget packed_budget =
-      ExpectedPackedBatchCost(*packed_plan, batch);
+      ExpectedRequestCost(*packed_plan, batch);
   obs::Counter* muls_counter = registry.GetCounter("crypto.scalar_muls");
   obs::Counter* enc_counter = registry.GetCounter("crypto.encrypts");
   uint64_t m0 = 0, e0 = 0;

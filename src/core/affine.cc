@@ -560,7 +560,6 @@ Result<PackedAffineKernel> PackedAffineKernel::Build(
   kernel.layout_ = layout;
   kernel.num_inputs_ =
       static_cast<size_t>(layer.input_shape().NumElements());
-  const BigInt replicate = layout.ReplicationConstant();
   kernel.rows_.reserve(layer.rows().size());
   std::map<int64_t, std::vector<uint32_t>> by_weight;
   for (const AffineRow& row : layer.rows()) {
@@ -581,7 +580,7 @@ Result<PackedAffineKernel> PackedAffineKernel::Build(
     for (auto& [weight, inputs] : by_weight) {
       plan.groups.push_back({weight, std::move(inputs)});
     }
-    if (!row.bias.IsZero()) plan.packed_bias = row.bias * replicate;
+    plan.bias = row.bias;
     kernel.rows_.push_back(std::move(plan));
   }
   return kernel;
@@ -597,11 +596,17 @@ int64_t PackedAffineKernel::GroupScalarMuls() const {
 
 Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
     const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
-    size_t row_begin, size_t row_end, const EncryptedStageCache* cache) const {
+    int64_t lanes, size_t row_begin, size_t row_end,
+    const EncryptedStageCache* cache) const {
   if (in.size() != num_inputs_) {
     return Status::InvalidArgument(
         internal::StrCat("packed input has ", in.size(), " words, expected ",
                          num_inputs_));
+  }
+  if (lanes < 1 || lanes > layout_.lanes) {
+    return Status::InvalidArgument(internal::StrCat(
+        "packed batch of ", lanes, " lanes on a ", layout_.lanes,
+        "-lane layout"));
   }
   if (row_begin > row_end || row_end > rows_.size()) {
     return Status::OutOfRange("row slice out of range");
@@ -610,6 +615,8 @@ Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
   ResidentInputs resident(ctx, in);
 
   SignSplitSlice slice(row_end - row_begin);
+  const BigInt replicate = layout_.ReplicationConstant(lanes);
+  std::vector<BigInt> biases(row_end - row_begin);
   // A group pays one weight application (counted under crypto.scalar_muls,
   // same semantics as the scalar path) after |group|-1 ciphertext
   // multiplications that fold its members together (crypto.pack.hom_adds).
@@ -662,7 +669,8 @@ Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
         ctx.MulMont(dst, term, &dst);
       }
     }
-    slice.bias[i] = &row.packed_bias;
+    if (!row.bias.IsZero()) biases[i] = row.bias * replicate;
+    slice.bias[i] = &biases[i];
     if (has_negative) {
       slice.neg.push_back(std::move(negative));
       slice.neg_rows.push_back(i);

@@ -169,7 +169,7 @@ struct PackedRowPlan {
   bool identity = false;       // single weight-1 term, zero bias: forward
   uint32_t identity_input = 0;
   std::vector<PackedWeightGroup> groups;  // sorted by weight, deterministic
-  BigInt packed_bias;  // row bias replicated into every lane's slot
+  BigInt bias;  // replicated per evaluation into the live lanes' slots
 };
 
 /// A linear layer lowered for packed-ciphertext evaluation (DESIGN.md §13).
@@ -177,8 +177,8 @@ struct PackedRowPlan {
 /// lanes; the same row arithmetic then lands slot-parallel in all lanes.
 class PackedAffineKernel {
  public:
-  /// Groups the layer's rows by distinct weight value and pre-replicates
-  /// biases. Fails (kOutOfRange) if the layer's worst-case output for
+  /// Groups the layer's rows by distinct weight value. Fails
+  /// (kOutOfRange) if the layer's worst-case output for
   /// `input_magnitude_bound` — which also bounds every partial sum the
   /// evaluation can form — does not fit the layout's slot capacity.
   static Result<PackedAffineKernel> Build(const IntegerAffineLayer& layer,
@@ -192,14 +192,17 @@ class PackedAffineKernel {
   /// Scalar-muls one evaluation pays: one per non-identity (row, group).
   int64_t GroupScalarMuls() const;
 
-  /// Homomorphic evaluation over packed words (same slicing contract as
-  /// ApplyEncryptedRows; `cache` tables must be built on this exact `in`).
-  /// Per-lane decoded outputs are bit-exact with the scalar path because
+  /// Homomorphic evaluation over packed words whose first `lanes` slots
+  /// are live (same slicing contract as ApplyEncryptedRows; `cache` tables
+  /// must be built on this exact `in`). Biases land in the live slots
+  /// only, so the empty slots of a batch narrower than the layout decrypt
+  /// to 0 instead of revealing the biases to the key holder. Per-lane
+  /// decoded outputs are bit-exact with the scalar path because
   /// ciphertext multiplication is commutative and slot arithmetic never
   /// overflows (guaranteed by the Build-time bound check).
   Result<std::vector<Ciphertext>> ApplyEncryptedRowsPacked(
       const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
-      size_t row_begin, size_t row_end,
+      int64_t lanes, size_t row_begin, size_t row_end,
       const EncryptedStageCache* cache = nullptr) const;
 
  private:

@@ -37,46 +37,29 @@ int64_t InferencePlan::EncryptionsPerRequest() const {
   return total;
 }
 
-obs::RequestCostBudget ExpectedRequestCost(const InferencePlan& plan) {
-  obs::RequestCostBudget budget;
-  budget.encrypts = static_cast<uint64_t>(plan.EncryptionsPerRequest());
-  int64_t muls = 0;
-  for (const LinearStage& stage : plan.linear_stages) {
-    for (const IntegerAffineLayer& op : stage.ops) {
-      muls += op.EncryptedScalarMuls();
-    }
-  }
-  budget.scalar_muls = static_cast<uint64_t>(muls);
-  return budget;
-}
-
-obs::RequestCostBudget ExpectedPackedBatchCost(const InferencePlan& plan,
-                                               int64_t lanes) {
+obs::RequestCostBudget ExpectedRequestCost(const InferencePlan& plan,
+                                           int64_t lanes) {
   obs::RequestCostBudget budget;
   if (lanes < 1) return budget;
   int64_t encrypts = 0;
   int64_t muls = 0;
   for (size_t r = 0; r < plan.linear_stages.size(); ++r) {
     const LinearStage& stage = plan.linear_stages[r];
-    // The data provider encrypts this round's input: one word per tensor
-    // element when the round packs (all lanes share the word), one
-    // ciphertext per element per lane on the scalar fallback.
+    // The data provider encrypts this round's input.
     const int64_t elements = r == 0
                                  ? plan.input_shape.NumElements()
                                  : plan.linear_stages[r - 1]
                                        .output_shape.NumElements();
-    const bool packed = stage.packed_layout.has_value();
-    encrypts += packed ? elements : elements * lanes;
-    if (!stage.packed_kernels.empty()) {
+    if (stage.PacksWith(lanes)) {
+      encrypts += elements;
       for (const PackedAffineKernel& kernel : stage.packed_kernels) {
         muls += kernel.GroupScalarMuls();
       }
     } else {
-      int64_t stage_muls = 0;
+      encrypts += elements * lanes;
       for (const IntegerAffineLayer& op : stage.ops) {
-        stage_muls += op.EncryptedScalarMuls();
+        muls += op.EncryptedScalarMuls() * lanes;
       }
-      muls += stage_muls * lanes;
     }
   }
   budget.encrypts = static_cast<uint64_t>(encrypts);

@@ -41,12 +41,22 @@ struct LinearStage {
   BigInt magnitude_bound;
   std::string name;
   /// Slot layout covering this round's input and every op output, when
-  /// the packing passes found one (DESIGN.md §13). Absent = scalar round.
-  /// Present on data-provider views so both parties pack identically.
+  /// the packing passes found one (DESIGN.md §13). Absent = the round
+  /// rides the scalar wire at any lane count. Present on data-provider
+  /// views so both parties pack identically.
   std::optional<PackedLayout> packed_layout;
   /// Weight-value-dedup kernels, one per op, iff packed_layout is set.
   /// Model-provider side only (kernels derive from weights).
   std::vector<PackedAffineKernel> packed_kernels;
+
+  /// Whether a `lanes`-wide request carries this round as packed words
+  /// (one per tensor element) rather than one ciphertext per element per
+  /// lane. A one-lane request always rides the scalar wire, so plain
+  /// inference is the same on packed and unpacked plans. Both providers
+  /// and the cost function read the representation from here alone.
+  bool PacksWith(int64_t lanes) const {
+    return lanes > 1 && packed_layout.has_value();
+  }
 };
 
 /// One merged non-linear primitive layer — a pipeline stage at the data
@@ -138,20 +148,16 @@ struct CompileOptions {
 Result<InferencePlan> CompilePlan(const Model& model, int64_t scale,
                                   const CompileOptions& options = {});
 
-/// Expected per-request crypto cost of the scalar protocol path, priced
-/// from the plan: encrypts = EncryptionsPerRequest(); scalar_muls = the
-/// sum of every stage op's EncryptedScalarMuls() (exactly what
-/// crypto.scalar_muls counts during ApplyEncryptedRows). On a
+/// Expected crypto cost of one `lanes`-wide request, priced from the
+/// plan (a plain inference is lanes = 1). A round that packs
+/// (LinearStage::PacksWith) prices one encrypt per input element and
+/// GroupScalarMuls() per kernel; any other round prices one encrypt per
+/// element per lane and every op's EncryptedScalarMuls() per lane —
+/// exactly what crypto.encrypts / crypto.scalar_muls count. On a
 /// data-provider view the weights are absent, so scalar_muls prices to 0
 /// ("unknown, don't reconcile") while encrypts stays exact.
-obs::RequestCostBudget ExpectedRequestCost(const InferencePlan& plan);
-
-/// Expected cost of one `lanes`-wide packed batch
-/// (RunPackedBatchInference): packed rounds price one encrypt per word
-/// (element) and GroupScalarMuls() per kernel; scalar-fallback rounds
-/// price the scalar cost times `lanes`.
-obs::RequestCostBudget ExpectedPackedBatchCost(const InferencePlan& plan,
-                                               int64_t lanes);
+obs::RequestCostBudget ExpectedRequestCost(const InferencePlan& plan,
+                                           int64_t lanes = 1);
 
 /// Step 1+2 only: MaxPool rewrite + mixed-layer decomposition (the
 /// rewrite-maxpool and decompose-mixed passes). Exposed for tests and for

@@ -25,19 +25,38 @@ Status ProbeFault(const std::shared_ptr<FaultInjector>& fault,
   return fault->Fail(site);
 }
 
-/// Expands an element-level permutation to an interleaved scalar wire:
-/// block p (the `lanes` consecutive positions of element p) moves as one
-/// unit to block perm(p), so lanes never mix under obfuscation.
-Result<Permutation> ExpandBlockwise(const Permutation& perm, int64_t lanes) {
-  std::vector<uint32_t> mapping(perm.size() * static_cast<size_t>(lanes));
+/// Wire positions one tensor element of a `lanes`-wide request occupies
+/// in `stage`'s round: one packed word, or one ciphertext per lane.
+Result<size_t> WireWidth(const LinearStage& stage, int64_t lanes) {
+  if (lanes < 1) return Status::InvalidArgument("lanes must be >= 1");
+  if (!stage.PacksWith(lanes)) return static_cast<size_t>(lanes);
+  if (lanes > stage.packed_layout->lanes) {
+    return Status::InvalidArgument("batch exceeds the stage's lane count");
+  }
+  return size_t{1};
+}
+
+/// Applies the element permutation `perm` (or its inverse) to a wire of
+/// `width` positions per element: block p moves as one unit to block
+/// perm(p), so lanes never mix under obfuscation.
+Result<std::vector<Ciphertext>> PermuteElements(
+    const Permutation& perm, size_t width, const std::vector<Ciphertext>& in,
+    bool inverse) {
+  if (in.size() != perm.size() * width) {
+    return Status::ProtocolError("tensor size changed across rounds");
+  }
+  if (width == 1) return inverse ? perm.ApplyInverse(in) : perm.Apply(in);
+  std::vector<uint32_t> mapping(in.size());
   for (size_t p = 0; p < perm.size(); ++p) {
-    for (int64_t i = 0; i < lanes; ++i) {
-      mapping[p * static_cast<size_t>(lanes) + static_cast<size_t>(i)] =
-          perm.MapIndex(p) * static_cast<uint32_t>(lanes) +
+    for (size_t i = 0; i < width; ++i) {
+      mapping[p * width + i] =
+          perm.MapIndex(p) * static_cast<uint32_t>(width) +
           static_cast<uint32_t>(i);
     }
   }
-  return Permutation::FromMapping(std::move(mapping));
+  PPS_ASSIGN_OR_RETURN(Permutation blocks,
+                       Permutation::FromMapping(std::move(mapping)));
+  return inverse ? blocks.ApplyInverse(in) : blocks.Apply(in);
 }
 
 }  // namespace
@@ -68,9 +87,17 @@ ModelProvider::ModelProvider(std::shared_ptr<const InferencePlan> plan,
 }
 
 Result<std::vector<Ciphertext>> ModelProvider::InverseObfuscate(
-    uint64_t request_id, size_t round, std::vector<Ciphertext> in) {
+    uint64_t request_id, size_t round, std::vector<Ciphertext> in,
+    int64_t lanes) {
   obs::ScopedSpan span("inverse_obfuscate", "obf", request_id);
   PPS_RETURN_IF_ERROR(ProbeFault(fault_, "mp.InverseObfuscate"));
+  if (round >= plan_->NumRounds()) {
+    return Status::OutOfRange("inverse obfuscation round out of range");
+  }
+  // The stored permutation is element-level; this round's wire may carry
+  // a different representation than the round that stored it.
+  PPS_ASSIGN_OR_RETURN(size_t width,
+                       WireWidth(plan_->linear_stages[round], lanes));
   Permutation perm;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -82,51 +109,99 @@ Result<std::vector<Ciphertext>> ModelProvider::InverseObfuscate(
     }
     perm = it->second;  // kept until ReleaseRequestState (retry safety)
   }
-  if (perm.size() != in.size()) {
-    return Status::ProtocolError("tensor size changed across rounds");
-  }
-  return perm.ApplyInverse(in);
+  return PermuteElements(perm, width, in, /*inverse=*/true);
 }
 
 Result<std::vector<Ciphertext>> ModelProvider::ApplyLinearStage(
-    size_t round, const std::vector<Ciphertext>& in, ThreadPool* pool,
-    bool input_partitioning) {
+    size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
+    ThreadPool* pool, bool input_partitioning) {
   if (round >= plan_->linear_stages.size()) {
     return Status::OutOfRange("linear stage index out of range");
   }
   PPS_RETURN_IF_ERROR(ProbeFault(fault_, "mp.ApplyLinearStage"));
   const LinearStage& stage = plan_->linear_stages[round];
-  std::vector<Ciphertext> current = in;
-  for (const IntegerAffineLayer& op : stage.ops) {
-    // Fixed-base tables for the high-fan-out input slots of this op,
-    // shared by every worker thread evaluating it (DESIGN.md §8).
-    Result<EncryptedStageCache> cache_result = [&] {
-      obs::ScopedSpan cache_span("crypto.stage_cache_build", "crypto");
-      return op.BuildEncryptedStageCache(pk_, current, pool);
-    }();
-    PPS_ASSIGN_OR_RETURN(EncryptedStageCache cache,
-                         std::move(cache_result));
-    obs::ScopedSpan mul_span("crypto.scalar_mul_batch", "crypto");
-    if (pool != nullptr && pool->num_threads() > 1) {
-      PPS_ASSIGN_OR_RETURN(PartitionPlan partition,
-                           PartitionOp(op, pool->num_threads()));
-      PPS_ASSIGN_OR_RETURN(
-          current,
-          ApplyEncryptedPartitioned(pk_, op, current, partition,
-                                    input_partitioning, pool, &cache));
-    } else {
-      PPS_ASSIGN_OR_RETURN(
-          current, op.ApplyEncryptedRows(pk_, current, 0, op.rows().size(),
-                                         &cache));
+  PPS_ASSIGN_OR_RETURN(size_t width, WireWidth(stage, lanes));
+  const bool packed = stage.PacksWith(lanes);
+  if (packed && stage.packed_kernels.size() != stage.ops.size()) {
+    return Status::Internal("packed stage is missing its lowered kernels");
+  }
+  // Runs the stage's ops over one wire vector: every lane's packed words,
+  // or one lane's scalars.
+  auto run_ops = [&](std::vector<Ciphertext> current)
+      -> Result<std::vector<Ciphertext>> {
+    for (size_t k = 0; k < stage.ops.size(); ++k) {
+      const IntegerAffineLayer& op = stage.ops[k];
+      // Fixed-base tables for the high-fan-out input slots of this op,
+      // shared by every worker thread evaluating it (DESIGN.md §8). Fan-out
+      // is a property of the op's terms, the same for words and scalars.
+      Result<EncryptedStageCache> cache_result = [&] {
+        obs::ScopedSpan cache_span("crypto.stage_cache_build", "crypto");
+        return op.BuildEncryptedStageCache(pk_, current, pool);
+      }();
+      PPS_ASSIGN_OR_RETURN(EncryptedStageCache cache,
+                           std::move(cache_result));
+      obs::ScopedSpan mul_span("crypto.scalar_mul_batch", "crypto");
+      if (packed) {
+        const PackedAffineKernel& kernel = stage.packed_kernels[k];
+        PPS_ASSIGN_OR_RETURN(
+            current, kernel.ApplyEncryptedRowsPacked(
+                         pk_, current, lanes, 0, kernel.rows().size(), &cache));
+      } else if (pool != nullptr && pool->num_threads() > 1) {
+        PPS_ASSIGN_OR_RETURN(PartitionPlan partition,
+                             PartitionOp(op, pool->num_threads()));
+        PPS_ASSIGN_OR_RETURN(
+            current,
+            ApplyEncryptedPartitioned(pk_, op, current, partition,
+                                      input_partitioning, pool, &cache));
+      } else {
+        PPS_ASSIGN_OR_RETURN(
+            current, op.ApplyEncryptedRows(pk_, current, 0, op.rows().size(),
+                                           &cache));
+      }
+    }
+    return current;
+  };
+  if (width == 1) return run_ops(in);
+  // Interleaved lanes: de-interleave, run each lane, re-interleave
+  // element-major.
+  if (in.size() % width != 0) {
+    return Status::ProtocolError(
+        "interleaved tensor size is not a multiple of the lane count");
+  }
+  const size_t elements = in.size() / width;
+  std::vector<Ciphertext> out;
+  for (size_t lane = 0; lane < width; ++lane) {
+    std::vector<Ciphertext> lane_in;
+    lane_in.reserve(elements);
+    for (size_t p = 0; p < elements; ++p) {
+      lane_in.push_back(in[p * width + lane]);
+    }
+    PPS_ASSIGN_OR_RETURN(std::vector<Ciphertext> lane_out,
+                         run_ops(std::move(lane_in)));
+    if (lane == 0) out.resize(lane_out.size() * width);
+    for (size_t p = 0; p < lane_out.size(); ++p) {
+      out[p * width + lane] = std::move(lane_out[p]);
     }
   }
-  return current;
+  return out;
 }
 
 Result<std::vector<Ciphertext>> ModelProvider::Obfuscate(
-    uint64_t request_id, size_t round, std::vector<Ciphertext> in) {
+    uint64_t request_id, size_t round, std::vector<Ciphertext> in,
+    int64_t lanes) {
   obs::ScopedSpan span("obfuscate", "obf", request_id);
   PPS_RETURN_IF_ERROR(ProbeFault(fault_, "mp.Obfuscate"));
+  // `round` may come off the wire: check it before it indexes the plan
+  // or keys stored state.
+  if (round >= plan_->NumRounds()) {
+    return Status::OutOfRange("obfuscation round out of range");
+  }
+  PPS_ASSIGN_OR_RETURN(size_t width,
+                       WireWidth(plan_->linear_stages[round], lanes));
+  if (in.size() % width != 0) {
+    return Status::ProtocolError(
+        "interleaved tensor size is not a multiple of the lane count");
+  }
   if (rerand_pool_ != nullptr) {
     // Fresh r^n per slot (one ModMul each) so the bits leaving the model
     // provider are unlinkable to the stage computation. The plaintexts —
@@ -135,118 +210,6 @@ Result<std::vector<Ciphertext>> ModelProvider::Obfuscate(
       c = rerand_pool_->Rerandomize(c);
     }
   }
-  Permutation perm;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    perm = Permutation::Random(in.size(), obf_rng_);
-    permutations_[{request_id, round}] = perm;
-  }
-  return perm.Apply(in);
-}
-
-Result<std::vector<Ciphertext>> ModelProvider::ProcessRound(
-    uint64_t request_id, size_t round, const std::vector<Ciphertext>& in) {
-  if (round >= plan_->NumRounds()) {
-    return Status::OutOfRange("round out of range");
-  }
-  std::vector<Ciphertext> current = in;
-  if (round > 0) {
-    PPS_ASSIGN_OR_RETURN(current,
-                         InverseObfuscate(request_id, round,
-                                          std::move(current)));
-  }
-  PPS_ASSIGN_OR_RETURN(current, ApplyLinearStage(round, current));
-  if (round + 1 < plan_->NumRounds()) {
-    PPS_ASSIGN_OR_RETURN(current,
-                         Obfuscate(request_id, round, std::move(current)));
-  }
-  return current;
-}
-
-Result<std::vector<Ciphertext>> ModelProvider::ApplyLinearStagePacked(
-    size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
-    ThreadPool* pool) {
-  if (round >= plan_->linear_stages.size()) {
-    return Status::OutOfRange("linear stage index out of range");
-  }
-  if (lanes < 1) return Status::InvalidArgument("lanes must be >= 1");
-  const LinearStage& stage = plan_->linear_stages[round];
-
-  if (!stage.packed_layout.has_value()) {
-    // Scalar fallback: de-interleave the lanes, run the scalar stage per
-    // lane, re-interleave element-major. Pays the full per-lane price —
-    // exactly `lanes` independent scalar stage evaluations.
-    if (in.size() % static_cast<size_t>(lanes) != 0) {
-      return Status::ProtocolError(
-          "interleaved tensor size is not a multiple of the lane count");
-    }
-    const size_t elements = in.size() / static_cast<size_t>(lanes);
-    std::vector<Ciphertext> out;
-    for (int64_t lane = 0; lane < lanes; ++lane) {
-      std::vector<Ciphertext> lane_in;
-      lane_in.reserve(elements);
-      for (size_t p = 0; p < elements; ++p) {
-        lane_in.push_back(in[p * static_cast<size_t>(lanes) +
-                             static_cast<size_t>(lane)]);
-      }
-      PPS_ASSIGN_OR_RETURN(std::vector<Ciphertext> lane_out,
-                           ApplyLinearStage(round, lane_in, pool));
-      if (lane == 0) {
-        out.resize(lane_out.size() * static_cast<size_t>(lanes));
-      }
-      for (size_t p = 0; p < lane_out.size(); ++p) {
-        out[p * static_cast<size_t>(lanes) + static_cast<size_t>(lane)] =
-            std::move(lane_out[p]);
-      }
-    }
-    return out;
-  }
-
-  PPS_RETURN_IF_ERROR(ProbeFault(fault_, "mp.ApplyLinearStage"));
-  if (lanes > stage.packed_layout->lanes) {
-    return Status::InvalidArgument("batch exceeds the stage's lane count");
-  }
-  if (stage.packed_kernels.size() != stage.ops.size()) {
-    return Status::Internal(
-        "packed stage is missing its lowered kernels");
-  }
-  std::vector<Ciphertext> current = in;
-  for (size_t k = 0; k < stage.ops.size(); ++k) {
-    // The fixed-base tables key off input fan-out, which is a property of
-    // the op's term structure — identical for packed words and scalars.
-    Result<EncryptedStageCache> cache_result = [&] {
-      obs::ScopedSpan cache_span("crypto.stage_cache_build", "crypto");
-      return stage.ops[k].BuildEncryptedStageCache(pk_, current, pool);
-    }();
-    PPS_ASSIGN_OR_RETURN(EncryptedStageCache cache, std::move(cache_result));
-    obs::ScopedSpan mul_span("crypto.scalar_mul_batch", "crypto");
-    const PackedAffineKernel& kernel = stage.packed_kernels[k];
-    PPS_ASSIGN_OR_RETURN(
-        current, kernel.ApplyEncryptedRowsPacked(pk_, current, 0,
-                                                 kernel.rows().size(),
-                                                 &cache));
-  }
-  return current;
-}
-
-Result<std::vector<Ciphertext>> ModelProvider::ObfuscatePackedBatch(
-    uint64_t request_id, size_t round, std::vector<Ciphertext> in,
-    int64_t lanes) {
-  obs::ScopedSpan span("obfuscate", "obf", request_id);
-  PPS_RETURN_IF_ERROR(ProbeFault(fault_, "mp.Obfuscate"));
-  if (rerand_pool_ != nullptr) {
-    for (Ciphertext& c : in) {
-      c = rerand_pool_->Rerandomize(c);
-    }
-  }
-  const LinearStage& stage = plan_->linear_stages[round];
-  const bool packed_round = stage.packed_layout.has_value();
-  if (!packed_round && in.size() % static_cast<size_t>(lanes) != 0) {
-    return Status::ProtocolError(
-        "interleaved tensor size is not a multiple of the lane count");
-  }
-  const size_t elements =
-      packed_round ? in.size() : in.size() / static_cast<size_t>(lanes);
   // Always store the ELEMENT-level permutation: the representation may
   // change between this round's output and the next round's input (the
   // data provider re-packs), and the element permutation converts to
@@ -254,61 +217,27 @@ Result<std::vector<Ciphertext>> ModelProvider::ObfuscatePackedBatch(
   Permutation perm;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    perm = Permutation::Random(elements, obf_rng_);
+    perm = Permutation::Random(in.size() / width, obf_rng_);
     permutations_[{request_id, round}] = perm;
   }
-  if (packed_round) return perm.Apply(in);
-  PPS_ASSIGN_OR_RETURN(Permutation expanded, ExpandBlockwise(perm, lanes));
-  return expanded.Apply(in);
+  return PermuteElements(perm, width, in, /*inverse=*/false);
 }
 
-Result<std::vector<Ciphertext>> ModelProvider::InverseObfuscatePackedBatch(
-    uint64_t request_id, size_t round, std::vector<Ciphertext> in,
-    int64_t lanes) {
-  obs::ScopedSpan span("inverse_obfuscate", "obf", request_id);
-  PPS_RETURN_IF_ERROR(ProbeFault(fault_, "mp.InverseObfuscate"));
-  Permutation perm;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = permutations_.find({request_id, round - 1});
-    if (it == permutations_.end()) {
-      return Status::ProtocolError(internal::StrCat(
-          "no stored permutation for request ", request_id, " round ",
-          round - 1));
-    }
-    perm = it->second;
-  }
-  // The stored permutation is element-level; the incoming vector is words
-  // (packed round ahead) or interleaved scalars (fallback round ahead).
-  if (in.size() == perm.size()) {
-    return perm.ApplyInverse(in);
-  }
-  if (in.size() == perm.size() * static_cast<size_t>(lanes)) {
-    PPS_ASSIGN_OR_RETURN(Permutation expanded, ExpandBlockwise(perm, lanes));
-    return expanded.ApplyInverse(in);
-  }
-  return Status::ProtocolError("tensor size changed across rounds");
-}
-
-Result<std::vector<Ciphertext>> ModelProvider::ProcessRoundPackedBatch(
+Result<std::vector<Ciphertext>> ModelProvider::ProcessRound(
     uint64_t request_id, size_t round, const std::vector<Ciphertext>& in,
     int64_t lanes, ThreadPool* pool) {
   if (round >= plan_->NumRounds()) {
     return Status::OutOfRange("round out of range");
   }
-  if (lanes < 1) return Status::InvalidArgument("lanes must be >= 1");
   std::vector<Ciphertext> current = in;
   if (round > 0) {
-    PPS_ASSIGN_OR_RETURN(
-        current, InverseObfuscatePackedBatch(request_id, round,
-                                             std::move(current), lanes));
+    PPS_ASSIGN_OR_RETURN(current, InverseObfuscate(request_id, round,
+                                                   std::move(current), lanes));
   }
-  PPS_ASSIGN_OR_RETURN(current,
-                       ApplyLinearStagePacked(round, current, lanes, pool));
+  PPS_ASSIGN_OR_RETURN(current, ApplyLinearStage(round, current, lanes, pool));
   if (round + 1 < plan_->NumRounds()) {
     PPS_ASSIGN_OR_RETURN(
-        current, ObfuscatePackedBatch(request_id, round, std::move(current),
-                                      lanes));
+        current, Obfuscate(request_id, round, std::move(current), lanes));
   }
   return current;
 }
@@ -382,43 +311,6 @@ RandomizerPool::Stats DataProvider::PoolStatsForTesting() const {
   return enc_pool_->stats();
 }
 
-Result<std::vector<Ciphertext>> DataProvider::EncryptInput(
-    const DoubleTensor& input) {
-  obs::ScopedSpan span("crypto.encrypt_batch", "crypto");
-  PPS_RETURN_IF_ERROR(ProbeFault(fault_, "dp.EncryptInput"));
-  if (input.shape() != plan_->input_shape) {
-    return Status::InvalidArgument(
-        internal::StrCat("input shape ", input.shape().ToString(),
-                         " != plan input ", plan_->input_shape.ToString()));
-  }
-  // One batch take covers the tensor: pool-served randomizers make each
-  // encryption a single ModMul, and slot i deterministically receives the
-  // i-th randomizer of the batch.
-  std::vector<BigInt> rns =
-      enc_pool_->TakeMany(static_cast<size_t>(input.NumElements()));
-  std::vector<Ciphertext> out;
-  out.reserve(static_cast<size_t>(input.NumElements()));
-  for (int64_t i = 0; i < input.NumElements(); ++i) {
-    const int64_t q = QuantizeValue(input[i], plan_->scale);
-    PPS_ASSIGN_OR_RETURN(
-        Ciphertext c,
-        Paillier::EncryptWithRandomizer(keys_.public_key, BigInt(q),
-                                        rns[static_cast<size_t>(i)]));
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
-Result<DoubleTensor> DataProvider::ApplySegment(
-    size_t round, const DoubleTensor& values) const {
-  const NonLinearSegment& segment = plan_->nonlinear_segments[round];
-  DoubleTensor current = values;
-  for (const auto& layer : segment.layers) {
-    PPS_ASSIGN_OR_RETURN(current, layer->Forward(current));
-  }
-  return current;
-}
-
 namespace {
 
 /// Runs fn(i) over [0, n) either inline or across a pool; fn returns a
@@ -445,213 +337,11 @@ Status ForEachMaybeParallel(size_t n, ThreadPool* pool,
 
 }  // namespace
 
-Result<std::vector<Ciphertext>> DataProvider::ProcessIntermediate(
-    size_t round, const std::vector<Ciphertext>& in,
-    std::vector<double>* decrypted_view, ThreadPool* pool) {
-  if (round + 1 >= plan_->NumRounds()) {
-    return Status::OutOfRange(
-        "intermediate round index must precede the final round");
-  }
-  PPS_RETURN_IF_ERROR(ProbeFault(fault_, "dp.ProcessIntermediate"));
-  const LinearStage& stage = plan_->linear_stages[round];
-  const double scale =
-      ScalePower(plan_->scale, stage.output_scale_power).ToDouble();
-
-  // Decrypt + dequantize. The values are permuted; the non-linear segment
-  // is element-wise, so order does not matter (§III-C).
-  DoubleTensor values{Shape{static_cast<int64_t>(in.size())}};
-  {
-    obs::ScopedSpan decrypt_span("crypto.decrypt_batch", "crypto");
-    PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-        in.size(), pool, [&](size_t i) -> Status {
-          PPS_ASSIGN_OR_RETURN(
-              BigInt m, Paillier::Decrypt(keys_.public_key,
-                                          keys_.private_key, in[i]));
-          values[static_cast<int64_t>(i)] = m.ToDouble() / scale;
-          return Status::OK();
-        }));
-  }
-  if (decrypted_view != nullptr) {
-    decrypted_view->assign(values.data().begin(), values.data().end());
-  }
-
-  PPS_ASSIGN_OR_RETURN(DoubleTensor activated, ApplySegment(round, values));
-
-  // Re-quantize at F and re-encrypt (Step 2.3). The batch take assigns
-  // pool randomizers to slots in stream order; misses are raised across
-  // `pool`, and the remaining per-element work is one ModMul.
-  obs::ScopedSpan encrypt_span("crypto.encrypt_batch", "crypto");
-  std::vector<BigInt> rns = enc_pool_->TakeMany(in.size(), pool);
-  std::vector<Ciphertext> out(in.size());
-  PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-      in.size(), pool, [&](size_t i) -> Status {
-        const int64_t q =
-            QuantizeValue(activated[static_cast<int64_t>(i)], plan_->scale);
-        PPS_ASSIGN_OR_RETURN(
-            out[i], Paillier::EncryptWithRandomizer(keys_.public_key,
-                                                    BigInt(q), rns[i]));
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<std::vector<Ciphertext>> DataProvider::EncryptInputParallel(
-    const DoubleTensor& input, ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    return EncryptInput(input);
-  }
-  obs::ScopedSpan span("crypto.encrypt_batch", "crypto");
-  PPS_RETURN_IF_ERROR(ProbeFault(fault_, "dp.EncryptInput"));
-  if (input.shape() != plan_->input_shape) {
-    return Status::InvalidArgument("input shape mismatch");
-  }
-  std::vector<BigInt> rns =
-      enc_pool_->TakeMany(static_cast<size_t>(input.NumElements()), pool);
-  std::vector<Ciphertext> out(static_cast<size_t>(input.NumElements()));
-  PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-      out.size(), pool, [&](size_t i) -> Status {
-        const int64_t q =
-            QuantizeValue(input[static_cast<int64_t>(i)], plan_->scale);
-        PPS_ASSIGN_OR_RETURN(
-            out[i], Paillier::EncryptWithRandomizer(keys_.public_key,
-                                                    BigInt(q), rns[i]));
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<DoubleTensor> DataProvider::ProcessFinal(
-    const std::vector<Ciphertext>& in, ThreadPool* pool) {
-  PPS_RETURN_IF_ERROR(ProbeFault(fault_, "dp.ProcessFinal"));
-  const size_t round = plan_->NumRounds() - 1;
-  const LinearStage& stage = plan_->linear_stages[round];
-  if (in.size() != static_cast<size_t>(stage.output_shape.NumElements())) {
-    return Status::ProtocolError("final tensor size mismatch");
-  }
-  const double scale =
-      ScalePower(plan_->scale, stage.output_scale_power).ToDouble();
-  DoubleTensor values{stage.output_shape};
-  {
-    obs::ScopedSpan decrypt_span("crypto.decrypt_batch", "crypto");
-    PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-        in.size(), pool, [&](size_t i) -> Status {
-          PPS_ASSIGN_OR_RETURN(
-              BigInt m, Paillier::Decrypt(keys_.public_key,
-                                          keys_.private_key, in[i]));
-          values[static_cast<int64_t>(i)] = m.ToDouble() / scale;
-          return Status::OK();
-        }));
-  }
-  return ApplySegment(round, values);
-}
-
-Result<std::vector<DoubleTensor>> DataProvider::DecodeStageOutput(
-    size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
-    const Shape& shape, ThreadPool* pool) const {
-  const LinearStage& stage = plan_->linear_stages[round];
-  const double scale =
-      ScalePower(plan_->scale, stage.output_scale_power).ToDouble();
-  const size_t elements = static_cast<size_t>(shape.NumElements());
-  std::vector<DoubleTensor> values(static_cast<size_t>(lanes),
-                                   DoubleTensor{shape});
-  obs::ScopedSpan decrypt_span("crypto.decrypt_batch", "crypto");
-  if (stage.packed_layout.has_value()) {
-    const PackedLayout& layout = *stage.packed_layout;
-    if (lanes > layout.lanes) {
-      return Status::InvalidArgument("batch exceeds the stage's lane count");
-    }
-    if (in.size() != elements) {
-      return Status::ProtocolError("packed word count mismatch");
-    }
-    PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-        in.size(), pool, [&](size_t j) -> Status {
-          PPS_ASSIGN_OR_RETURN(
-              BigInt word, Paillier::Decrypt(keys_.public_key,
-                                             keys_.private_key, in[j]));
-          PPS_ASSIGN_OR_RETURN(std::vector<BigInt> slots,
-                               UnpackSigned(layout, word));
-          for (int64_t i = 0; i < lanes; ++i) {
-            values[static_cast<size_t>(i)][static_cast<int64_t>(j)] =
-                slots[static_cast<size_t>(i)].ToDouble() / scale;
-          }
-          return Status::OK();
-        }));
-    return values;
-  }
-  if (in.size() != elements * static_cast<size_t>(lanes)) {
-    return Status::ProtocolError("interleaved tensor size mismatch");
-  }
-  PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-      in.size(), pool, [&](size_t p) -> Status {
-        PPS_ASSIGN_OR_RETURN(
-            BigInt m, Paillier::Decrypt(keys_.public_key, keys_.private_key,
-                                        in[p]));
-        values[p % static_cast<size_t>(lanes)]
-              [static_cast<int64_t>(p / static_cast<size_t>(lanes))] =
-            m.ToDouble() / scale;
-        return Status::OK();
-      }));
-  return values;
-}
-
-Result<std::vector<Ciphertext>> DataProvider::EncodeForRound(
-    size_t round, const std::vector<DoubleTensor>& values, ThreadPool* pool) {
-  const LinearStage& stage = plan_->linear_stages[round];
-  const int64_t lanes = static_cast<int64_t>(values.size());
-  const size_t elements =
-      static_cast<size_t>(stage.input_shape.NumElements());
-  for (const DoubleTensor& lane : values) {
-    if (static_cast<size_t>(lane.NumElements()) != elements) {
-      return Status::ProtocolError("lane tensor size mismatch");
-    }
-  }
-  obs::ScopedSpan encrypt_span("crypto.encrypt_batch", "crypto");
-  if (stage.packed_layout.has_value()) {
-    const PackedLayout& layout = *stage.packed_layout;
-    if (lanes > layout.lanes) {
-      return Status::InvalidArgument("batch exceeds the stage's lane count");
-    }
-    std::vector<BigInt> rns = enc_pool_->TakeMany(elements, pool);
-    std::vector<Ciphertext> out(elements);
-    PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-        elements, pool, [&](size_t j) -> Status {
-          std::vector<BigInt> slots;
-          slots.reserve(static_cast<size_t>(lanes));
-          for (int64_t i = 0; i < lanes; ++i) {
-            slots.emplace_back(QuantizeValue(
-                values[static_cast<size_t>(i)][static_cast<int64_t>(j)],
-                plan_->scale));
-          }
-          PPS_ASSIGN_OR_RETURN(BigInt word, PackSigned(layout, slots));
-          PPS_ASSIGN_OR_RETURN(
-              out[j], Paillier::EncryptWithRandomizer(keys_.public_key, word,
-                                                      rns[j]));
-          return Status::OK();
-        }));
-    return out;
-  }
-  const size_t total = elements * static_cast<size_t>(lanes);
-  std::vector<BigInt> rns = enc_pool_->TakeMany(total, pool);
-  std::vector<Ciphertext> out(total);
-  PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
-      total, pool, [&](size_t p) -> Status {
-        const size_t lane = p % static_cast<size_t>(lanes);
-        const int64_t element =
-            static_cast<int64_t>(p / static_cast<size_t>(lanes));
-        const int64_t q = QuantizeValue(values[lane][element], plan_->scale);
-        PPS_ASSIGN_OR_RETURN(
-            out[p], Paillier::EncryptWithRandomizer(keys_.public_key,
-                                                    BigInt(q), rns[p]));
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<std::vector<Ciphertext>> DataProvider::EncryptInputPackedBatch(
+Result<std::vector<Ciphertext>> DataProvider::EncryptInput(
     const std::vector<DoubleTensor>& inputs, ThreadPool* pool) {
   PPS_RETURN_IF_ERROR(ProbeFault(fault_, "dp.EncryptInput"));
   if (inputs.empty()) {
-    return Status::InvalidArgument("packed batch needs at least one lane");
+    return Status::InvalidArgument("a batch needs at least one lane");
   }
   for (const DoubleTensor& input : inputs) {
     if (input.shape() != plan_->input_shape) {
@@ -669,44 +359,154 @@ Result<std::vector<Ciphertext>> DataProvider::EncryptInputPackedBatch(
   return EncodeForRound(0, inputs, pool);
 }
 
-Result<std::vector<Ciphertext>> DataProvider::ProcessIntermediatePackedBatch(
+Result<std::vector<Ciphertext>> DataProvider::ProcessIntermediate(
     size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
-    ThreadPool* pool) {
+    std::vector<double>* decrypted_view, ThreadPool* pool) {
   if (round + 1 >= plan_->NumRounds()) {
     return Status::OutOfRange(
         "intermediate round index must precede the final round");
   }
-  if (lanes < 1) return Status::InvalidArgument("lanes must be >= 1");
   PPS_RETURN_IF_ERROR(ProbeFault(fault_, "dp.ProcessIntermediate"));
-  const LinearStage& stage = plan_->linear_stages[round];
   // Values arrive permuted at element granularity; the segment is
-  // element-wise, so per-lane application commutes with the permutation
-  // (§III-C), exactly as in the scalar path.
-  const Shape flat{stage.output_shape.NumElements()};
-  PPS_ASSIGN_OR_RETURN(std::vector<DoubleTensor> values,
-                       DecodeStageOutput(round, in, lanes, flat, pool));
-  for (auto& lane_values : values) {
-    PPS_ASSIGN_OR_RETURN(lane_values, ApplySegment(round, lane_values));
-  }
-  // Re-encode in the NEXT round's representation — packed<->scalar
-  // transitions happen here because only the key holder can re-pack.
+  // element-wise, so order does not matter (§III-C).
+  const Shape flat{plan_->linear_stages[round].output_shape.NumElements()};
+  PPS_ASSIGN_OR_RETURN(
+      std::vector<DoubleTensor> values,
+      DecodeAndActivate(round, in, lanes, flat, decrypted_view, pool));
+  // Re-quantize at F and re-encrypt (Step 2.3) in the NEXT round's
+  // representation.
   return EncodeForRound(round + 1, values, pool);
 }
 
-Result<std::vector<DoubleTensor>> DataProvider::ProcessFinalPackedBatch(
+Result<DoubleTensor> DataProvider::ProcessFinal(
+    const std::vector<Ciphertext>& in, ThreadPool* pool) {
+  PPS_ASSIGN_OR_RETURN(std::vector<DoubleTensor> out,
+                       ProcessFinal(in, /*lanes=*/1, pool));
+  return std::move(out.front());
+}
+
+Result<std::vector<DoubleTensor>> DataProvider::ProcessFinal(
     const std::vector<Ciphertext>& in, int64_t lanes, ThreadPool* pool) {
   PPS_RETURN_IF_ERROR(ProbeFault(fault_, "dp.ProcessFinal"));
-  if (lanes < 1) return Status::InvalidArgument("lanes must be >= 1");
   const size_t round = plan_->NumRounds() - 1;
+  return DecodeAndActivate(round, in, lanes,
+                           plan_->linear_stages[round].output_shape, nullptr,
+                           pool);
+}
+
+Result<std::vector<DoubleTensor>> DataProvider::DecodeAndActivate(
+    size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
+    const Shape& shape, std::vector<double>* decrypted_view,
+    ThreadPool* pool) const {
   const LinearStage& stage = plan_->linear_stages[round];
-  PPS_ASSIGN_OR_RETURN(
-      std::vector<DoubleTensor> values,
-      DecodeStageOutput(round, in, lanes, stage.output_shape, pool));
-  for (auto& lane_values : values) {
-    PPS_ASSIGN_OR_RETURN(lane_values, ApplySegment(round, lane_values));
+  PPS_ASSIGN_OR_RETURN(size_t width, WireWidth(stage, lanes));
+  const bool packed = stage.PacksWith(lanes);
+  if (in.size() != static_cast<size_t>(shape.NumElements()) * width) {
+    return Status::ProtocolError(internal::StrCat(
+        "round ", round, " output has ", in.size(), " ciphertexts, expected ",
+        shape.NumElements() * static_cast<int64_t>(width)));
+  }
+  const double scale =
+      ScalePower(plan_->scale, stage.output_scale_power).ToDouble();
+  std::vector<DoubleTensor> values(static_cast<size_t>(lanes),
+                                   DoubleTensor{shape});
+  {
+    obs::ScopedSpan decrypt_span("crypto.decrypt_batch", "crypto");
+    PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
+        in.size(), pool, [&](size_t p) -> Status {
+          PPS_ASSIGN_OR_RETURN(
+              BigInt m, Paillier::Decrypt(keys_.public_key,
+                                          keys_.private_key, in[p]));
+          const int64_t element = static_cast<int64_t>(p / width);
+          if (!packed) {
+            values[p % width][element] = m.ToDouble() / scale;
+            return Status::OK();
+          }
+          PPS_ASSIGN_OR_RETURN(std::vector<BigInt> slots,
+                               UnpackSigned(*stage.packed_layout, m));
+          for (size_t i = 0; i < values.size(); ++i) {
+            values[i][element] = slots[i].ToDouble() / scale;
+          }
+          return Status::OK();
+        }));
+  }
+  if (decrypted_view != nullptr) {
+    decrypted_view->clear();
+    for (const DoubleTensor& lane : values) {
+      decrypted_view->insert(decrypted_view->end(), lane.data().begin(),
+                             lane.data().end());
+    }
+  }
+  for (DoubleTensor& lane : values) {
+    for (const auto& layer : plan_->nonlinear_segments[round].layers) {
+      PPS_ASSIGN_OR_RETURN(lane, layer->Forward(lane));
+    }
   }
   return values;
 }
+
+Result<std::vector<Ciphertext>> DataProvider::EncodeForRound(
+    size_t round, const std::vector<DoubleTensor>& values, ThreadPool* pool) {
+  const LinearStage& stage = plan_->linear_stages[round];
+  const int64_t lanes = static_cast<int64_t>(values.size());
+  PPS_ASSIGN_OR_RETURN(size_t width, WireWidth(stage, lanes));
+  const bool packed = stage.PacksWith(lanes);
+  const size_t elements =
+      static_cast<size_t>(stage.input_shape.NumElements());
+  for (const DoubleTensor& lane : values) {
+    if (static_cast<size_t>(lane.NumElements()) != elements) {
+      return Status::ProtocolError("lane tensor size mismatch");
+    }
+  }
+  // One batch take covers the wire: pool-served randomizers make each
+  // encryption a single ModMul, and position p deterministically receives
+  // the p-th randomizer of the batch; misses are raised across `pool`.
+  obs::ScopedSpan encrypt_span("crypto.encrypt_batch", "crypto");
+  const size_t total = elements * width;
+  std::vector<BigInt> rns = enc_pool_->TakeMany(total, pool);
+  std::vector<Ciphertext> out(total);
+  PPS_RETURN_IF_ERROR(ForEachMaybeParallel(
+      total, pool, [&](size_t p) -> Status {
+        const int64_t element = static_cast<int64_t>(p / width);
+        BigInt plaintext;
+        if (packed) {
+          std::vector<BigInt> slots;
+          slots.reserve(values.size());
+          for (const DoubleTensor& lane : values) {
+            slots.emplace_back(QuantizeValue(lane[element], plan_->scale));
+          }
+          PPS_ASSIGN_OR_RETURN(plaintext,
+                               PackSigned(*stage.packed_layout, slots));
+        } else {
+          plaintext =
+              BigInt(QuantizeValue(values[p % width][element], plan_->scale));
+        }
+        PPS_ASSIGN_OR_RETURN(
+            out[p], Paillier::EncryptWithRandomizer(keys_.public_key,
+                                                    plaintext, rns[p]));
+        return Status::OK();
+      }));
+  return out;
+}
+
+namespace {
+
+/// Runs `round(r)` for every round in order, stopping at the first
+/// failure, then drops the request's stored permutations at the model
+/// provider — on failure too, so a failed inference strands no state
+/// there. The rounds' error wins over a failed release.
+Status RunRoundsThenRelease(ModelProviderApi& mp, uint64_t request_id,
+                            const std::function<Status(size_t)>& round) {
+  Status status;
+  for (size_t r = 0; r < mp.plan().NumRounds() && status.ok(); ++r) {
+    status = round(r);
+  }
+  Status released = mp.ReleaseRequestState(request_id);
+  PPS_RETURN_IF_ERROR(status);
+  return released;
+}
+
+}  // namespace
 
 Result<DoubleTensor> RunProtocolInference(ModelProviderApi& mp,
                                           DataProviderApi& dp,
@@ -734,27 +534,28 @@ Result<DoubleTensor> RunProtocolInference(ModelProviderApi& mp,
   // attempt finishes unreconciled via the ledger destructor.
   obs::RequestCostLedger ledger(request_id, ExpectedRequestCost(mp.plan()));
   PPS_ASSIGN_OR_RETURN(std::vector<Ciphertext> wire, dp.EncryptInput(input));
-  for (size_t r = 0; r < rounds; ++r) {
-    PPS_ASSIGN_OR_RETURN(wire, mp.ProcessRound(request_id, r, wire));
-    if (r + 1 < rounds) {
-      std::vector<double> decrypted;
-      PPS_ASSIGN_OR_RETURN(
-          wire, dp.ProcessIntermediate(
-                    r, wire, transcript ? &decrypted : nullptr));
-      if (transcript) {
-        // Experimenter-side reconstruction: invert the stored permutation
-        // to recover the original order for the dcor measurement.
+  PPS_RETURN_IF_ERROR(
+      RunRoundsThenRelease(mp, request_id, [&](size_t r) -> Status {
+        PPS_ASSIGN_OR_RETURN(wire, mp.ProcessRound(request_id, r, wire));
+        if (r + 1 == rounds) return Status::OK();
+        std::vector<double> decrypted;
         PPS_ASSIGN_OR_RETURN(
-            Permutation perm,
-            local_mp->GetStoredPermutationForTesting(request_id, r));
-        LeakageTranscript::Round rec;
-        rec.after_obfuscation = decrypted;
-        rec.before_obfuscation = perm.ApplyInverse(decrypted);
-        transcript->rounds.push_back(std::move(rec));
-      }
-    }
-  }
-  PPS_RETURN_IF_ERROR(mp.ReleaseRequestState(request_id));
+            wire, dp.ProcessIntermediate(
+                      r, wire, transcript ? &decrypted : nullptr));
+        if (transcript) {
+          // Experimenter-side reconstruction: invert the stored
+          // permutation to recover the original order for the dcor
+          // measurement.
+          PPS_ASSIGN_OR_RETURN(
+              Permutation perm,
+              local_mp->GetStoredPermutationForTesting(request_id, r));
+          LeakageTranscript::Round rec;
+          rec.after_obfuscation = decrypted;
+          rec.before_obfuscation = perm.ApplyInverse(decrypted);
+          transcript->rounds.push_back(std::move(rec));
+        }
+        return Status::OK();
+      }));
   Result<DoubleTensor> out = dp.ProcessFinal(wire);
   ledger.Finish(out.ok());
   return out;
@@ -763,28 +564,24 @@ Result<DoubleTensor> RunProtocolInference(ModelProviderApi& mp,
 Result<std::vector<DoubleTensor>> RunPackedBatchInference(
     ModelProvider& mp, DataProvider& dp, uint64_t request_id,
     const std::vector<DoubleTensor>& inputs, ThreadPool* pool) {
-  if (inputs.empty()) {
-    return Status::InvalidArgument("packed batch needs at least one lane");
-  }
   const int64_t lanes = static_cast<int64_t>(inputs.size());
   const size_t rounds = mp.plan().NumRounds();
   obs::ScopedSpan root =
       obs::ScopedSpan::Root("inference_packed", "request", request_id);
   obs::RequestCostLedger ledger(request_id,
-                                ExpectedPackedBatchCost(mp.plan(), lanes));
+                                ExpectedRequestCost(mp.plan(), lanes));
   PPS_ASSIGN_OR_RETURN(std::vector<Ciphertext> wire,
-                       dp.EncryptInputPackedBatch(inputs, pool));
-  for (size_t r = 0; r < rounds; ++r) {
-    PPS_ASSIGN_OR_RETURN(
-        wire, mp.ProcessRoundPackedBatch(request_id, r, wire, lanes, pool));
-    if (r + 1 < rounds) {
-      PPS_ASSIGN_OR_RETURN(
-          wire, dp.ProcessIntermediatePackedBatch(r, wire, lanes, pool));
-    }
-  }
-  PPS_RETURN_IF_ERROR(mp.ReleaseRequestState(request_id));
-  Result<std::vector<DoubleTensor>> out =
-      dp.ProcessFinalPackedBatch(wire, lanes, pool);
+                       dp.EncryptInput(inputs, pool));
+  PPS_RETURN_IF_ERROR(
+      RunRoundsThenRelease(mp, request_id, [&](size_t r) -> Status {
+        PPS_ASSIGN_OR_RETURN(
+            wire, mp.ProcessRound(request_id, r, wire, lanes, pool));
+        if (r + 1 == rounds) return Status::OK();
+        PPS_ASSIGN_OR_RETURN(
+            wire, dp.ProcessIntermediate(r, wire, lanes, nullptr, pool));
+        return Status::OK();
+      }));
+  Result<std::vector<DoubleTensor>> out = dp.ProcessFinal(wire, lanes, pool);
   ledger.Finish(out.ok());
   return out;
 }

@@ -24,6 +24,16 @@
 // non-linear view plus the public key. Tests assert the separation (the
 // model provider never sees plaintext tensors; the data provider never
 // sees weights).
+//
+// Lanes (DESIGN.md §13). Every provider step is one implementation that
+// takes a lane count: `lanes` independent inferences ride one wire
+// vector. A round carries packed words, one per tensor element with the
+// lanes in its slots, iff LinearStage::PacksWith(lanes); otherwise it
+// carries `lanes` interleaved scalar ciphertexts per element,
+// element-major (position p * lanes + i is element p of lane i). One
+// lane is therefore the plain scalar protocol: the virtual overrides
+// below are the lanes = 1 calls, and the lane entry points sit on the
+// concrete classes only (lane batching is not on the wire).
 
 #pragma once
 
@@ -179,13 +189,24 @@ class ModelProvider : public ModelProviderApi {
 
   Result<std::vector<Ciphertext>> ProcessRound(
       uint64_t request_id, size_t round,
-      const std::vector<Ciphertext>& in) override;
+      const std::vector<Ciphertext>& in) override {
+    return ProcessRound(request_id, round, in, /*lanes=*/1, nullptr);
+  }
+  /// `pool` parallelizes the linear stage (see ApplyLinearStage).
+  Result<std::vector<Ciphertext>> ProcessRound(
+      uint64_t request_id, size_t round, const std::vector<Ciphertext>& in,
+      int64_t lanes, ThreadPool* pool);
 
   /// Idempotent: the permutation stays stored until ReleaseRequestState,
   /// so a failed/retried stage can reprocess the same message
   /// (AF-Stream-style at-least-once execution).
   Result<std::vector<Ciphertext>> InverseObfuscate(
-      uint64_t request_id, size_t round, std::vector<Ciphertext> in) override;
+      uint64_t request_id, size_t round, std::vector<Ciphertext> in) override {
+    return InverseObfuscate(request_id, round, std::move(in), /*lanes=*/1);
+  }
+  Result<std::vector<Ciphertext>> InverseObfuscate(
+      uint64_t request_id, size_t round, std::vector<Ciphertext> in,
+      int64_t lanes);
 
   /// Always OK in-process; the Status return exists for remote stubs.
   Status ReleaseRequestState(uint64_t request_id) override;
@@ -198,54 +219,39 @@ class ModelProvider : public ModelProviderApi {
   /// only its receptive-field sub-tensor (paper §IV-D).
   Result<std::vector<Ciphertext>> ApplyLinearStage(
       size_t round, const std::vector<Ciphertext>& in,
-      ThreadPool* pool = nullptr, bool input_partitioning = true) override;
+      ThreadPool* pool = nullptr, bool input_partitioning = true) override {
+    return ApplyLinearStage(round, in, /*lanes=*/1, pool, input_partitioning);
+  }
+  /// A packed round runs the stage's weight-value-dedup kernels once for
+  /// every lane (the pool then only builds fixed-base tables); otherwise
+  /// each lane runs the per-term stage in turn, paying the full per-lane
+  /// price. Decoded outputs are bit-exact with `lanes` independent
+  /// inferences either way.
+  Result<std::vector<Ciphertext>> ApplyLinearStage(
+      size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
+      ThreadPool* pool, bool input_partitioning = true);
 
   Result<std::vector<Ciphertext>> Obfuscate(
       uint64_t request_id, size_t round,
-      std::vector<Ciphertext> in) override;
+      std::vector<Ciphertext> in) override {
+    return Obfuscate(request_id, round, std::move(in), /*lanes=*/1);
+  }
+  /// Obfuscation always permutes tensor ELEMENTS and stores the element
+  /// permutation: packed words move directly, interleaved lanes move as
+  /// blocks, so lanes never mix and the data provider can change the
+  /// representation between rounds. Leakage granularity: a packed word's
+  /// lanes move together (positions are shuffled, lane-to-slot binding
+  /// is not hidden). Refuses a round past the plan (kOutOfRange).
+  Result<std::vector<Ciphertext>> Obfuscate(
+      uint64_t request_id, size_t round, std::vector<Ciphertext> in,
+      int64_t lanes);
 
   /// Test/experiment hook: the permutation used at (request, round), if
   /// still stored. NOT part of the protocol surface.
   Result<Permutation> GetStoredPermutationForTesting(uint64_t request_id,
                                                      size_t round) const;
 
-  // ---- Packed-batch path (DESIGN.md §13). Not on the virtual API yet:
-  //      lane batching is an in-process engine feature in this revision.
-
-  /// Lane-batched round processing. `in` carries stage `round`'s input in
-  /// the round's wire representation: one packed word per tensor element
-  /// (packed round) or `lanes` interleaved scalar lanes, element-major —
-  /// position p * lanes + i is element p of lane i (scalar-fallback
-  /// round). Obfuscation always permutes tensor ELEMENTS: packed rounds
-  /// permute words directly, fallback rounds expand the stored element
-  /// permutation blockwise, so lanes never mix and the data provider can
-  /// re-pack across representation changes. Note the leakage granularity:
-  /// on packed rounds a word's `lanes` values move together (positions
-  /// are still shuffled; lane-to-slot binding is not hidden).
-  Result<std::vector<Ciphertext>> ProcessRoundPackedBatch(
-      uint64_t request_id, size_t round, const std::vector<Ciphertext>& in,
-      int64_t lanes, ThreadPool* pool = nullptr);
-
-  /// Applies linear stage `round` over packed words via the stage's
-  /// weight-value-dedup kernels, or — when the round fell back to scalar
-  /// — de-interleaves the lanes, applies the scalar stage per lane, and
-  /// re-interleaves. Decoded outputs are bit-exact with `lanes`
-  /// independent scalar inferences either way.
-  Result<std::vector<Ciphertext>> ApplyLinearStagePacked(
-      size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
-      ThreadPool* pool = nullptr);
-
  private:
-  /// Obfuscate/InverseObfuscate for the packed-batch path: permutations
-  /// are stored at element granularity and expanded blockwise when the
-  /// wire representation is interleaved scalars.
-  Result<std::vector<Ciphertext>> ObfuscatePackedBatch(
-      uint64_t request_id, size_t round, std::vector<Ciphertext> in,
-      int64_t lanes);
-  Result<std::vector<Ciphertext>> InverseObfuscatePackedBatch(
-      uint64_t request_id, size_t round, std::vector<Ciphertext> in,
-      int64_t lanes);
-
   std::shared_ptr<const InferencePlan> plan_;
   PaillierPublicKey pk_;
   Options options_;
@@ -290,60 +296,53 @@ class DataProvider : public DataProviderApi {
   }
 
   Result<std::vector<Ciphertext>> EncryptInput(
-      const DoubleTensor& input) override;
+      const DoubleTensor& input) override {
+    return EncryptInput({input}, nullptr);
+  }
+  Result<std::vector<Ciphertext>> EncryptInputParallel(
+      const DoubleTensor& input, ThreadPool* pool) override {
+    return EncryptInput({input}, pool);
+  }
+  /// One lane per input, all of the plan input shape; at most
+  /// plan->PackedBatchLanes() lanes when any stage packs.
+  Result<std::vector<Ciphertext>> EncryptInput(
+      const std::vector<DoubleTensor>& inputs, ThreadPool* pool);
 
   /// If `decrypted_view` is non-null it receives the permuted plaintext
-  /// values the data provider observed (for leakage measurement). With a
-  /// pool, decryption and re-encryption parallelize across its threads.
+  /// values the data provider observed, lane after lane (for leakage
+  /// measurement). With a pool, decryption and re-encryption parallelize
+  /// across its threads.
   Result<std::vector<Ciphertext>> ProcessIntermediate(
       size_t round, const std::vector<Ciphertext>& in,
       std::vector<double>* decrypted_view = nullptr,
-      ThreadPool* pool = nullptr) override;
+      ThreadPool* pool = nullptr) override {
+    return ProcessIntermediate(round, in, /*lanes=*/1, decrypted_view, pool);
+  }
+  /// Decodes stage `round`'s wire representation, applies the non-linear
+  /// segment per lane, and re-encodes in stage `round + 1`'s. Packed <->
+  /// interleaved transitions happen here because only the key holder can
+  /// re-pack.
+  Result<std::vector<Ciphertext>> ProcessIntermediate(
+      size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
+      std::vector<double>* decrypted_view, ThreadPool* pool);
 
   Result<DoubleTensor> ProcessFinal(const std::vector<Ciphertext>& in,
                                     ThreadPool* pool = nullptr) override;
-
-  Result<std::vector<Ciphertext>> EncryptInputParallel(
-      const DoubleTensor& input, ThreadPool* pool) override;
-
-  // ---- Packed-batch path (DESIGN.md §13), mirror of the ModelProvider
-  //      methods: `lanes` independent inferences ride one wire vector.
-
-  /// Lane-batched round-0 send: element t of every lane packs into word t
-  /// under stage 0's slot layout (or interleaves element-major when stage
-  /// 0 fell back to scalar). All inputs must match the plan input shape,
-  /// and `inputs.size()` must not exceed plan->PackedBatchLanes() when
-  /// any stage packs.
-  Result<std::vector<Ciphertext>> EncryptInputPackedBatch(
-      const std::vector<DoubleTensor>& inputs, ThreadPool* pool = nullptr);
-
-  /// Lane-batched intermediate round: decode stage `round`'s wire
-  /// representation (unpack words / de-interleave lanes), apply the
-  /// non-linear segment per lane, and re-encode in stage `round + 1`'s
-  /// representation — this is where packed<->scalar representation
-  /// changes happen, because only the data provider can re-pack.
-  Result<std::vector<Ciphertext>> ProcessIntermediatePackedBatch(
-      size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
-      ThreadPool* pool = nullptr);
-
-  /// Lane-batched last round: one inference result per lane.
-  Result<std::vector<DoubleTensor>> ProcessFinalPackedBatch(
-      const std::vector<Ciphertext>& in, int64_t lanes,
-      ThreadPool* pool = nullptr);
+  /// One inference result per lane.
+  Result<std::vector<DoubleTensor>> ProcessFinal(
+      const std::vector<Ciphertext>& in, int64_t lanes, ThreadPool* pool);
 
   /// Pool statistics (hit/miss accounting for bench assertions).
   RandomizerPool::Stats PoolStatsForTesting() const;
 
  private:
-  /// Applies segment `round` to real values element-wise.
-  Result<DoubleTensor> ApplySegment(size_t round,
-                                    const DoubleTensor& values) const;
-
   /// Decrypts stage `round`'s output wire vector into per-lane real
-  /// values of `shape` (dequantized by the stage's scale power).
-  Result<std::vector<DoubleTensor>> DecodeStageOutput(
+  /// values of `shape` (dequantized by the stage's scale power), then
+  /// applies segment `round` to each lane.
+  Result<std::vector<DoubleTensor>> DecodeAndActivate(
       size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
-      const Shape& shape, ThreadPool* pool) const;
+      const Shape& shape, std::vector<double>* decrypted_view,
+      ThreadPool* pool) const;
 
   /// Quantizes per-lane values at F and encrypts them in stage `round`'s
   /// wire representation (packed words or interleaved scalars).
@@ -367,10 +366,12 @@ class DataProvider : public DataProviderApi {
 /// Drives the full synchronous protocol for one input (the streaming
 /// engine pipelines exactly these steps across stages). Works against any
 /// ModelProviderApi / DataProviderApi pair — local objects or remote
-/// transport stubs. If `transcript` is non-null, records before/after-
-/// obfuscation value pairs per round; this experimenter-side measurement
-/// reads stored permutations and therefore requires an in-process
-/// ModelProvider (fails with InvalidArgument on a remote stub).
+/// transport stubs. A failure after the first model-provider round still
+/// releases the request's state there. If `transcript` is non-null,
+/// records before/after-obfuscation value pairs per round; this
+/// experimenter-side measurement reads stored permutations and therefore
+/// requires an in-process ModelProvider (fails with InvalidArgument on a
+/// remote stub).
 Result<DoubleTensor> RunProtocolInference(ModelProviderApi& mp,
                                           DataProviderApi& dp,
                                           uint64_t request_id,
@@ -378,13 +379,13 @@ Result<DoubleTensor> RunProtocolInference(ModelProviderApi& mp,
                                           LeakageTranscript* transcript =
                                               nullptr);
 
-/// Drives the full synchronous protocol for `inputs.size()` lanes riding
-/// one packed wire (DESIGN.md §13). Per-lane outputs are bit-exact with
-/// `inputs.size()` independent RunProtocolInference calls, while
-/// encrypts, decrypts, scalar-muls, and wire words divide by the lane
-/// count on packed rounds (scalar-fallback rounds interleave and pay full
-/// price). Takes the concrete providers: lane batching is not on the
-/// remote wire format yet.
+/// Drives the same protocol for `inputs.size()` lanes riding one wire
+/// (DESIGN.md §13), releasing state on failure likewise. Per-lane outputs
+/// are bit-exact with `inputs.size()` independent RunProtocolInference
+/// calls, while encrypts, decrypts, scalar-muls, and wire words divide by
+/// the lane count on packed rounds (other rounds interleave and pay full
+/// price); one lane is exactly RunProtocolInference. Takes the concrete
+/// providers: lane batching is not on the remote wire format yet.
 Result<std::vector<DoubleTensor>> RunPackedBatchInference(
     ModelProvider& mp, DataProvider& dp, uint64_t request_id,
     const std::vector<DoubleTensor>& inputs, ThreadPool* pool = nullptr);

@@ -17,10 +17,10 @@ BigInt PackedLayout::SlotCapacity() const {
   return PowerOfTwo(slot_bits - 1) - BigInt(1);
 }
 
-BigInt PackedLayout::ReplicationConstant() const {
+BigInt PackedLayout::ReplicationConstant(int64_t live_lanes) const {
   BigInt r;
-  for (int32_t i = 0; i < lanes; ++i) {
-    r += PowerOfTwo(static_cast<int64_t>(i) * slot_bits);
+  for (int64_t i = 0; i < live_lanes; ++i) {
+    r += PowerOfTwo(i * slot_bits);
   }
   return r;
 }

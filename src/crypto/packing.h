@@ -43,9 +43,10 @@ struct PackedLayout {
   /// Largest magnitude a slot can hold: 2^(slot_bits-1) - 1.
   BigInt SlotCapacity() const;
 
-  /// sum_{i < lanes} 2^(i * slot_bits): multiplying a plaintext constant
-  /// by this replicates it into every slot (used for biases).
-  BigInt ReplicationConstant() const;
+  /// sum_{i < live_lanes} 2^(i * slot_bits): multiplying a plaintext
+  /// constant by this replicates it into the first `live_lanes` slots and
+  /// leaves the rest 0 (used for biases of a batch that fills them).
+  BigInt ReplicationConstant(int64_t live_lanes) const;
 
   int64_t TotalBits() const {
     return static_cast<int64_t>(lanes) * slot_bits;

@@ -313,8 +313,7 @@ Result<std::vector<uint8_t>> DispatchDataProviderPayload(
       PPS_ASSIGN_OR_RETURN(DoubleTensor input,
                            DeserializeDoubleTensor(request.payload));
       PPS_ASSIGN_OR_RETURN(std::vector<Ciphertext> out,
-                           pool ? dp.EncryptInputParallel(input, pool)
-                                : dp.EncryptInput(input));
+                           dp.EncryptInputParallel(input, pool));
       return CiphertextPayload(out);
     }
     case WireMethod::kDpProcessIntermediate: {
@@ -898,9 +897,9 @@ Result<DoubleTensor> RunResilientInference(
       }
     }
     DeadlineScope scope(budget);
-    // Restarts run under a derived request id: the failed attempt may
-    // have left per-request permutation state on a surviving server, and
-    // the two must never alias. Bit-exactness is unaffected — the output
+    // Restarts run under a derived request id: the failed attempt's
+    // release (RunProtocolInference drops state on failure) may not have
+    // reached a surviving server, and the two must never alias. Bit-exactness is unaffected — the output
     // is invariant to permutation and randomizer choices.
     const uint64_t effective_id =
         attempt == 0 ? request_id
@@ -911,9 +910,6 @@ Result<DoubleTensor> RunResilientInference(
     if (out.ok()) return out;
     last = out.status();
     if (!RestartableFailure(last)) return last;
-    // Best effort: drop any half-built state for the failed id so a
-    // surviving server does not accumulate orphaned permutations.
-    (void)mp.ReleaseRequestState(effective_id);
     PPS_SLOG(Warn, "net.inference_restart")
         .Kv("request", request_id)
         .Kv("attempt", attempt + 1)

@@ -457,6 +457,48 @@ TEST_F(ProtocolTest, ProtocolRunReleasesRequestState) {
       << "no permutation state may leak after completion";
 }
 
+// Fails every data-provider intermediate round: the model provider has
+// stored round 0's permutation by then.
+std::shared_ptr<FaultInjector> FailIntermediateRounds() {
+  auto injector = std::make_shared<FaultInjector>(/*seed=*/91);
+  FaultRule rule;
+  rule.site_pattern = "dp.ProcessIntermediate";
+  rule.every_nth = 1;
+  injector->AddRule(rule);
+  return injector;
+}
+
+TEST_F(ProtocolTest, FailedInferenceReleasesRequestState) {
+  Model model = SmallDenseModel(89);
+  auto plan_or = CompilePlan(model, 1000);
+  ASSERT_TRUE(plan_or.ok());
+  auto plan = std::make_shared<InferencePlan>(std::move(plan_or).value());
+  ModelProvider mp(plan, keys_->public_key, 92);
+  DataProvider dp(plan, *keys_, 93);
+  dp.SetFaultInjector(FailIntermediateRounds());
+  auto out = RunProtocolInference(mp, dp, 44, RandomTensor(Shape{4}, 94));
+  EXPECT_EQ(out.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(mp.PendingRequestsForTesting(), 0u)
+      << "a failed inference may not strand permutation state";
+}
+
+TEST_F(ProtocolTest, FailedPackedBatchReleasesRequestState) {
+  Model model = SmallDenseModel(95);
+  CompileOptions options;
+  options.packing = planner::PackingSpec{kTestKeyBits, 2, 64};
+  auto plan_or = CompilePlan(model, 1000, options);
+  ASSERT_TRUE(plan_or.ok());
+  auto plan = std::make_shared<InferencePlan>(std::move(plan_or).value());
+  ModelProvider mp(plan, keys_->public_key, 96);
+  DataProvider dp(plan, *keys_, 97);
+  dp.SetFaultInjector(FailIntermediateRounds());
+  auto out = RunPackedBatchInference(
+      mp, dp, 45, {RandomTensor(Shape{4}, 98), RandomTensor(Shape{4}, 99)});
+  EXPECT_EQ(out.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(mp.PendingRequestsForTesting(), 0u)
+      << "a failed batch may not strand permutation state";
+}
+
 TEST_F(ProtocolTest, RejectsWrongInputShape) {
   Model model = SmallDenseModel(83);
   auto plan_or = CompilePlan(model, 1000);

@@ -321,6 +321,26 @@ TEST_F(NetTest, FramedProtocolMatchesPlainReference) {
   EXPECT_EQ(local_mp->PendingRequestsForTesting(), 0u);
 }
 
+TEST_F(NetTest, ObfuscateRefusesRoundsPastThePlan) {
+  // The round comes off the frame header: Obfuscate range-checks it
+  // before it indexes the plan or stores a permutation under it.
+  auto local_mp =
+      std::make_shared<ModelProvider>(*plan_, keys_->public_key, 33);
+  RemoteModelProvider remote(ChannelTo(local_mp), *plan_);
+  const size_t rounds = (*plan_)->NumRounds();
+  const std::vector<Ciphertext> words(
+      6, Paillier::EncryptZeroDeterministic(keys_->public_key));
+  for (size_t round : {rounds, rounds + 3}) {
+    EXPECT_EQ(local_mp->Obfuscate(1, round, words).status().code(),
+              StatusCode::kOutOfRange)
+        << "in-process, round " << round;
+    EXPECT_EQ(remote.Obfuscate(2, round, words).status().code(),
+              StatusCode::kOutOfRange)
+        << "kMpObfuscate frame, round " << round;
+  }
+  EXPECT_EQ(local_mp->PendingRequestsForTesting(), 0u);
+}
+
 TEST_F(NetTest, EngineRunsOverFramedChannel) {
   auto local_mp =
       std::make_shared<ModelProvider>(*plan_, keys_->public_key, 41);

@@ -735,7 +735,7 @@ TEST_F(CostMnist2Test, PackedBatchReconcilesWithinFivePercent) {
   const int64_t batch = std::min<int64_t>(lanes, 4);
   std::vector<DoubleTensor> inputs(static_cast<size_t>(batch), *input_);
   const obs::RequestCostBudget budget =
-      ExpectedPackedBatchCost(**packed_plan_, batch);
+      ExpectedRequestCost(**packed_plan_, batch);
   ASSERT_GT(budget.scalar_muls, 0u);
   ASSERT_GT(budget.encrypts, 0u);
 

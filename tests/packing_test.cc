@@ -3,8 +3,9 @@
 // across key sizes, serialization fuzz, the weight-value-dedup packed
 // kernel (bit-exact against the scalar path, including the k=1
 // degenerate case), the packing planner passes, the lane-batched
-// protocol with per-stage scalar fallback, and the compression pass
-// that feeds the kernels.
+// protocol with per-stage scalar fallback (one lane is the scalar wire,
+// ciphertext for ciphertext; empty slots carry 0), and the compression
+// pass that feeds the kernels.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +23,10 @@
 #include "nn/layers.h"
 #include "nn/model_zoo.h"
 #include "nn/trainer.h"
+#include "obs/cost.h"
 #include "util/buffer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ppstream {
 namespace {
@@ -61,6 +64,26 @@ Model ThreeRoundModel(uint64_t seed) {
   PPS_CHECK_OK(model.Add(DenseLayer::Random(6, 5, rng)));
   PPS_CHECK_OK(model.Add(std::make_unique<ReluLayer>()));
   PPS_CHECK_OK(model.Add(DenseLayer::Random(5, 3, rng)));
+  PPS_CHECK_OK(model.Add(std::make_unique<SoftmaxLayer>()));
+  return model;
+}
+
+std::unique_ptr<DenseLayer> BiasedDense(int64_t in, int64_t out, Rng& rng) {
+  auto dense = DenseLayer::Random(in, out, rng);
+  for (int64_t o = 0; o < out; ++o) {
+    dense->bias()[o] = rng.NextUniform(-0.5, 0.5);
+  }
+  return dense;
+}
+
+// SmallDenseModel with non-zero biases, which packed kernels replicate
+// into the live lanes of every output word.
+Model BiasedDenseModel(uint64_t seed) {
+  Rng rng(seed);
+  Model model(Shape{4}, "biased");
+  PPS_CHECK_OK(model.Add(BiasedDense(4, 5, rng)));
+  PPS_CHECK_OK(model.Add(std::make_unique<ReluLayer>()));
+  PPS_CHECK_OK(model.Add(BiasedDense(5, 3, rng)));
   PPS_CHECK_OK(model.Add(std::make_unique<SoftmaxLayer>()));
   return model;
 }
@@ -297,7 +320,7 @@ void CheckKernelAgainstPlain(const PaillierKeyPair& keys,
   }
 
   auto out = kernel.value().ApplyEncryptedRowsPacked(
-      keys.public_key, words, 0, kernel.value().rows().size());
+      keys.public_key, words, lanes, 0, kernel.value().rows().size());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out.value().size(), affine.rows().size());
 
@@ -359,7 +382,7 @@ TEST_F(PackedKernelTest, SingleLaneDegenerateMatchesScalarPathExactly) {
   auto kernel = PackedAffineKernel::Build(affine.value(), layout, input_bound);
   ASSERT_TRUE(kernel.ok());
   auto packed_out = kernel.value().ApplyEncryptedRowsPacked(
-      keys_->public_key, cts, 0, 3);
+      keys_->public_key, cts, /*lanes=*/1, 0, 3);
   auto scalar_out =
       affine.value().ApplyEncryptedRows(keys_->public_key, cts, 0, 3);
   ASSERT_TRUE(packed_out.ok() && scalar_out.ok());
@@ -440,8 +463,11 @@ TEST_F(PackedKernelTest, MatchesCanonicalReferenceBitExact) {
       ASSERT_TRUE(term.ok());
       acc = Paillier::Add(pk, acc, term.value());
     }
-    if (!plans[j].packed_bias.IsZero()) {
-      auto biased = Paillier::AddPlain(pk, acc, plans[j].packed_bias);
+    if (!plans[j].bias.IsZero()) {
+      auto biased = Paillier::AddPlain(
+          pk, acc,
+          plans[j].bias *
+              layout.value().ReplicationConstant(layout.value().lanes));
       ASSERT_TRUE(biased.ok());
       acc = std::move(biased).value();
     }
@@ -454,8 +480,8 @@ TEST_F(PackedKernelTest, MatchesCanonicalReferenceBitExact) {
   EXPECT_GT(cache.value().tables_built, 0);
   const EncryptedStageCache* caches[] = {nullptr, &cache.value()};
   for (const EncryptedStageCache* c : caches) {
-    auto out = kernel.value().ApplyEncryptedRowsPacked(pk, words, 0,
-                                                       plans.size(), c);
+    auto out = kernel.value().ApplyEncryptedRowsPacked(
+        pk, words, layout.value().lanes, 0, plans.size(), c);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     ASSERT_EQ(out.value().size(), want.size());
     for (size_t j = 0; j < want.size(); ++j) {
@@ -463,7 +489,8 @@ TEST_F(PackedKernelTest, MatchesCanonicalReferenceBitExact) {
           << "row " << j << (c != nullptr ? " (cached)" : "");
     }
     // A slice batch-inverts only its own rows.
-    auto slice = kernel.value().ApplyEncryptedRowsPacked(pk, words, 2, 5, c);
+    auto slice = kernel.value().ApplyEncryptedRowsPacked(
+        pk, words, layout.value().lanes, 2, 5, c);
     ASSERT_TRUE(slice.ok()) << slice.status().ToString();
     for (size_t j = 0; j < slice.value().size(); ++j) {
       EXPECT_EQ(slice.value()[j].value.Compare(want[2 + j].value), 0)
@@ -578,7 +605,7 @@ PaillierKeyPair* PackedProtocolTest::keys_ = nullptr;
 
 void ExpectBatchMatchesReference(const std::shared_ptr<InferencePlan>& plan,
                                  const PaillierKeyPair& keys, int64_t lanes,
-                                 uint64_t seed) {
+                                 uint64_t seed, ThreadPool* pool = nullptr) {
   ModelProvider mp(plan, keys.public_key, /*obf_seed=*/seed * 2 + 1);
   DataProvider dp(plan, keys, /*enc_seed=*/seed * 2 + 7);
   std::vector<DoubleTensor> inputs;
@@ -587,7 +614,7 @@ void ExpectBatchMatchesReference(const std::shared_ptr<InferencePlan>& plan,
         RandomTensor(plan->input_shape, seed + static_cast<uint64_t>(l)));
   }
   auto batch_out = RunPackedBatchInference(mp, dp, /*request_id=*/seed,
-                                           inputs);
+                                           inputs, pool);
   ASSERT_TRUE(batch_out.ok()) << batch_out.status().ToString();
   ASSERT_EQ(batch_out.value().size(), inputs.size());
   EXPECT_EQ(mp.PendingRequestsForTesting(), 0u);
@@ -606,6 +633,113 @@ void ExpectBatchMatchesReference(const std::shared_ptr<InferencePlan>& plan,
   }
 }
 
+std::shared_ptr<InferencePlan> CompilePackedPlan(const Model& model) {
+  CompileOptions options;
+  options.packing = planner::PackingSpec{kTestKeyBits, 2, 64};
+  auto plan_or = CompilePlan(model, 1000, options);
+  PPS_CHECK_OK(plan_or.status());
+  return std::make_shared<InferencePlan>(std::move(plan_or).value());
+}
+
+// Every ciphertext vector either party puts on the wire, in order.
+using WireLog = std::vector<std::vector<Ciphertext>>;
+
+Result<std::vector<Ciphertext>> Logged(Result<std::vector<Ciphertext>> sent,
+                                       WireLog* wire) {
+  if (sent.ok()) wire->push_back(sent.value());
+  return sent;
+}
+
+/// Forwards to an in-process model provider, logging what it sends.
+class LoggingModelProvider final : public ModelProviderApi {
+ public:
+  LoggingModelProvider(ModelProvider& inner, WireLog* wire)
+      : inner_(inner), wire_(wire) {}
+
+  const InferencePlan& plan() const override { return inner_.plan(); }
+  Result<std::vector<Ciphertext>> ProcessRound(
+      uint64_t request_id, size_t round,
+      const std::vector<Ciphertext>& in) override {
+    return Logged(inner_.ProcessRound(request_id, round, in), wire_);
+  }
+  Result<std::vector<Ciphertext>> InverseObfuscate(
+      uint64_t request_id, size_t round, std::vector<Ciphertext> in) override {
+    return inner_.InverseObfuscate(request_id, round, std::move(in));
+  }
+  Result<std::vector<Ciphertext>> ApplyLinearStage(
+      size_t round, const std::vector<Ciphertext>& in, ThreadPool* pool,
+      bool input_partitioning) override {
+    return inner_.ApplyLinearStage(round, in, pool, input_partitioning);
+  }
+  Result<std::vector<Ciphertext>> Obfuscate(
+      uint64_t request_id, size_t round, std::vector<Ciphertext> in) override {
+    return inner_.Obfuscate(request_id, round, std::move(in));
+  }
+  Status ReleaseRequestState(uint64_t request_id) override {
+    return inner_.ReleaseRequestState(request_id);
+  }
+
+ private:
+  ModelProvider& inner_;
+  WireLog* wire_;
+};
+
+/// Forwards to an in-process data provider, logging what it sends.
+class LoggingDataProvider final : public DataProviderApi {
+ public:
+  LoggingDataProvider(DataProvider& inner, WireLog* wire)
+      : inner_(inner), wire_(wire) {}
+
+  const PaillierPublicKey& public_key() const override {
+    return inner_.public_key();
+  }
+  Result<std::vector<Ciphertext>> EncryptInput(
+      const DoubleTensor& input) override {
+    return Logged(inner_.EncryptInput(input), wire_);
+  }
+  Result<std::vector<Ciphertext>> EncryptInputParallel(
+      const DoubleTensor& input, ThreadPool* pool) override {
+    return Logged(inner_.EncryptInputParallel(input, pool), wire_);
+  }
+  Result<std::vector<Ciphertext>> ProcessIntermediate(
+      size_t round, const std::vector<Ciphertext>& in,
+      std::vector<double>* decrypted_view, ThreadPool* pool) override {
+    return Logged(inner_.ProcessIntermediate(round, in, decrypted_view, pool),
+                  wire_);
+  }
+  Result<DoubleTensor> ProcessFinal(const std::vector<Ciphertext>& in,
+                                    ThreadPool* pool) override {
+    return inner_.ProcessFinal(in, pool);
+  }
+
+ private:
+  DataProvider& inner_;
+  WireLog* wire_;
+};
+
+// RunPackedBatchInference's steps through the lane entry points, logging
+// the wire: the encrypted input, then each round's model-provider output
+// (entry 2r + 1) and, before the last round, the re-encrypted reply.
+Result<std::vector<DoubleTensor>> DriveLanes(
+    ModelProvider& mp, DataProvider& dp, uint64_t request_id,
+    const std::vector<DoubleTensor>& inputs, WireLog* wire) {
+  const int64_t lanes = static_cast<int64_t>(inputs.size());
+  const size_t rounds = mp.plan().NumRounds();
+  PPS_ASSIGN_OR_RETURN(std::vector<Ciphertext> sent,
+                       Logged(dp.EncryptInput(inputs, nullptr), wire));
+  for (size_t r = 0; r < rounds; ++r) {
+    PPS_ASSIGN_OR_RETURN(
+        sent,
+        Logged(mp.ProcessRound(request_id, r, sent, lanes, nullptr), wire));
+    if (r + 1 == rounds) break;
+    PPS_ASSIGN_OR_RETURN(
+        sent, Logged(dp.ProcessIntermediate(r, sent, lanes, nullptr, nullptr),
+                     wire));
+  }
+  PPS_RETURN_IF_ERROR(mp.ReleaseRequestState(request_id));
+  return dp.ProcessFinal(sent, lanes, nullptr);
+}
+
 TEST_F(PackedProtocolTest, FullyPackedBatchIsBitExactPerLane) {
   Model model = SmallDenseModel(29);
   CompileOptions options;
@@ -620,13 +754,96 @@ TEST_F(PackedProtocolTest, FullyPackedBatchIsBitExactPerLane) {
 }
 
 TEST_F(PackedProtocolTest, SingleLaneBatchWorks) {
-  Model model = SmallDenseModel(29);
-  CompileOptions options;
-  options.packing = planner::PackingSpec{kTestKeyBits, 2, 64};
-  auto plan_or = CompilePlan(model, 1000, options);
-  ASSERT_TRUE(plan_or.ok());
-  auto plan = std::make_shared<InferencePlan>(std::move(plan_or).value());
+  // One lane rides the scalar wire even when every round could pack.
+  auto plan = CompilePackedPlan(BiasedDenseModel(29));
+  ASSERT_GT(plan->PackedBatchLanes(), 1);
   ExpectBatchMatchesReference(plan, *keys_, 1, 211);
+
+  // So a one-lane batch and RunProtocolInference, on providers with the
+  // same seeds, put the same ciphertexts on the wire every round, and
+  // both spend exactly ExpectedRequestCost(plan, 1).
+  const DoubleTensor input = RandomTensor(plan->input_shape, 213);
+  const obs::RequestCostBudget budget = ExpectedRequestCost(*plan, 1);
+  // Prefilled pools serve every randomizer from the front of the seeded
+  // stream; a pool that misses while its refill thread runs would assign
+  // randomizers to positions by timing.
+  DataProvider::Options dp_options;
+  dp_options.prefill = true;
+  auto expect_cost = [&](const obs::CryptoCostSnapshot& before,
+                         const char* path) {
+    const obs::CryptoCostSnapshot spent =
+        obs::CryptoCostSnapshot::Capture() - before;
+    EXPECT_EQ(spent.encrypts, budget.encrypts) << path;
+    EXPECT_EQ(spent.scalar_muls, budget.scalar_muls) << path;
+  };
+  WireLog scalar_wire;
+  {
+    ModelProvider mp(plan, keys_->public_key, 215);
+    DataProvider dp(plan, *keys_, 217, dp_options);
+    LoggingModelProvider logged_mp(mp, &scalar_wire);
+    LoggingDataProvider logged_dp(dp, &scalar_wire);
+    const auto before = obs::CryptoCostSnapshot::Capture();
+    auto out = RunProtocolInference(logged_mp, logged_dp, 219, input);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    expect_cost(before, "RunProtocolInference");
+  }
+  WireLog lane_wire;
+  {
+    ModelProvider mp(plan, keys_->public_key, 215);
+    DataProvider dp(plan, *keys_, 217, dp_options);
+    const auto before = obs::CryptoCostSnapshot::Capture();
+    auto out = DriveLanes(mp, dp, 219, {input}, &lane_wire);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    expect_cost(before, "one-lane batch");
+  }
+  ASSERT_EQ(lane_wire.size(), 2 * plan->NumRounds());
+  ASSERT_EQ(lane_wire.size(), scalar_wire.size());
+  for (size_t k = 0; k < lane_wire.size(); ++k) {
+    ASSERT_EQ(lane_wire[k].size(), scalar_wire[k].size()) << "message " << k;
+    for (size_t p = 0; p < lane_wire[k].size(); ++p) {
+      EXPECT_EQ(lane_wire[k][p].value.Compare(scalar_wire[k][p].value), 0)
+          << "message " << k << " position " << p;
+    }
+  }
+}
+
+TEST_F(PackedProtocolTest, EmptySlotsOfANarrowBatchStayZero) {
+  // A batch narrower than the layout leaves slots empty. The key holder
+  // decrypts every model-provider word, so an empty slot must carry 0,
+  // never the row's bias.
+  auto plan = CompilePackedPlan(BiasedDenseModel(31));
+  const int64_t lanes = 2;
+  ASSERT_GT(plan->PackedBatchLanes(), lanes);
+  ModelProvider mp(plan, keys_->public_key, 221);
+  DataProvider dp(plan, *keys_, 223);
+  const std::vector<DoubleTensor> inputs = {
+      RandomTensor(plan->input_shape, 225),
+      RandomTensor(plan->input_shape, 227)};
+  WireLog wire;
+  auto out = DriveLanes(mp, dp, 229, inputs, &wire);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(wire.size(), 2 * plan->NumRounds());
+  for (size_t r = 0; r < plan->NumRounds(); ++r) {
+    const PackedLayout& layout = *plan->linear_stages[r].packed_layout;
+    for (size_t j = 0; j < wire[2 * r + 1].size(); ++j) {
+      auto word = Paillier::Decrypt(keys_->public_key, keys_->private_key,
+                                    wire[2 * r + 1][j]);
+      ASSERT_TRUE(word.ok());
+      auto slots = UnpackSigned(layout, word.value());
+      ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+      for (size_t i = lanes; i < slots.value().size(); ++i) {
+        EXPECT_TRUE(slots.value()[i].IsZero())
+            << "round " << r << " word " << j << " slot " << i;
+      }
+    }
+  }
+  for (size_t l = 0; l < inputs.size(); ++l) {
+    auto plain = RunScaledPlainInference(*plan, inputs[l]);
+    ASSERT_TRUE(plain.ok());
+    for (int64_t i = 0; i < plain.value().NumElements(); ++i) {
+      EXPECT_DOUBLE_EQ(out.value()[l][i], plain.value()[i]);
+    }
+  }
 }
 
 TEST_F(PackedProtocolTest, MidProtocolScalarFallbackStaysExact) {
@@ -645,6 +862,9 @@ TEST_F(PackedProtocolTest, MidProtocolScalarFallbackStaysExact) {
   const int64_t lanes = std::min<int64_t>(plan->PackedBatchLanes(), 3);
   ASSERT_GT(lanes, 1);
   ExpectBatchMatchesReference(plan, *keys_, lanes, 307);
+  // Again with the lane decode/encode and the per-lane stages on threads.
+  ThreadPool pool(4);
+  ExpectBatchMatchesReference(plan, *keys_, lanes, 311, &pool);
 }
 
 TEST_F(PackedProtocolTest, AllScalarFallbackStaysExact) {
