@@ -4,6 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "bignum/fixed_base.h"
 #include "bignum/montgomery.h"
 #include "bignum/prime.h"
@@ -156,6 +160,96 @@ void BM_PaillierFixedBaseTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierFixedBaseTableBuild)
     ->ArgsProduct({{8, 64, 1024}, {0, 1}});
+
+// One weight group of the affine kernel (core/affine.h): `members` input
+// ciphertexts of one row share a `weight_bits`-bit weight. The kernel
+// either folds them (one MulMont per member, the accumulate included) and
+// raises the product once with ExpMont, or applies the weight per member
+// through the member's fixed-base table (PowMont plus the accumulate).
+// Both run every iteration on the same inputs; the counters report each
+// side per group, their costs in MulMonts and the break-even group size
+// exp / (table - 1): folding is cheaper strictly above it. The kernel's
+// fold rule is calibrated from these counters (EXPERIMENTS.md). Residents
+// are converted once up front, as a row slice converts each slot once.
+void BM_WeightGroupFoldVsTable(benchmark::State& state) {
+  const int key_bits = static_cast<int>(state.range(0));
+  const int weight_bits = static_cast<int>(state.range(1));
+  const size_t members = static_cast<size_t>(state.range(2));
+  Rng rng(21);
+  auto keys = Paillier::GenerateKeyPair(key_bits, rng);
+  PPS_CHECK_OK(keys.status());
+  const PaillierPublicKey& pk = keys.value().public_key;
+  const MontgomeryContext& ctx = pk.ctx_n2();
+  SecureRng srng = SecureRng::FromSeed(22);
+  std::vector<MontgomeryContext::MontValue> residents;
+  std::vector<FixedBaseExp> tables;
+  for (size_t m = 0; m < members; ++m) {
+    auto c = Paillier::Encrypt(pk, BigInt(static_cast<int64_t>(m) - 3), srng);
+    PPS_CHECK_OK(c.status());
+    residents.push_back(ctx.ToMontgomery(c.value().value));
+    // Fan-out 32, the 576->32 Dense of MNIST-2, steers the window.
+    auto table = Paillier::PrecomputeScalarMulBase(
+        pk, c.value(), weight_bits, /*allow_negative=*/false,
+        /*fan_out_hint=*/32);
+    PPS_CHECK_OK(table.status());
+    tables.push_back(std::move(table).value());
+  }
+  // Weights with exactly `weight_bits` bits, cycled across iterations.
+  std::vector<int64_t> weights;
+  for (int i = 0; i < 16; ++i) {
+    weights.push_back(BigInt::RandomBits(rng, weight_bits).ToInt64().value());
+  }
+  using Clock = std::chrono::steady_clock;
+  auto ns = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double, std::nano>(b - a).count();
+  };
+  // The MulMont unit is timed inside the loop too, so all three figures
+  // share the host's speed phase.
+  double fold_ns = 0, table_ns = 0, mulmont_ns = 0;
+  MontgomeryContext::MontValue dst = ctx.OneMont(), unit = ctx.OneMont();
+  MontgomeryContext::MontValue gacc, term;
+  size_t i = 0;
+  for (auto _ : state) {
+    const int64_t w = weights[i++ % weights.size()];
+    const auto t0 = Clock::now();
+    gacc = residents[0];
+    for (size_t m = 1; m < members; ++m) {
+      ctx.MulMont(gacc, residents[m], &gacc);
+    }
+    ctx.ExpMont(gacc, BigInt(w), &term);
+    ctx.MulMont(dst, term, &dst);
+    const auto t1 = Clock::now();
+    for (size_t m = 0; m < members; ++m) {
+      PPS_CHECK_OK(tables[m].PowMont(BigInt(w), &term));
+      ctx.MulMont(dst, term, &dst);
+    }
+    const auto t2 = Clock::now();
+    for (size_t m = 0; m < members; ++m) {
+      ctx.MulMont(unit, residents[m], &unit);
+    }
+    const auto t3 = Clock::now();
+    fold_ns += ns(t0, t1);
+    table_ns += ns(t1, t2);
+    mulmont_ns += ns(t2, t3);
+  }
+  benchmark::DoNotOptimize(dst.data());
+  benchmark::DoNotOptimize(unit.data());
+  const double iters = static_cast<double>(state.iterations());
+  const double m = static_cast<double>(members);
+  const double fold = fold_ns / iters, table = table_ns / iters;
+  const double mulmont = mulmont_ns / iters / m;
+  const double table_call_mm = table / m / mulmont;
+  const double exp_mm = fold / mulmont - m;
+  state.counters["fold_ns"] = fold;
+  state.counters["table_ns"] = table;
+  state.counters["mulmont_ns"] = mulmont;
+  state.counters["table_call_mm"] = table_call_mm;
+  state.counters["exp_mm"] = exp_mm;
+  state.counters["break_even"] = exp_mm / (table_call_mm - 1.0);
+}
+BENCHMARK(BM_WeightGroupFoldVsTable)
+    ->ArgsProduct({{256, 512}, benchmark::CreateDenseRange(2, 24, 1),
+                   {4, 16}});
 
 // Pool-backed encryption: r^n comes precomputed, the request path is one
 // ModMul. Refills happen outside the timed region, mirroring a pool that

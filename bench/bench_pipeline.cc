@@ -412,10 +412,9 @@ int main(int argc, char** argv) {
   json << "    \"stages\": [\n";
   for (size_t i = 0; i < packed_plan->linear_stages.size(); ++i) {
     const LinearStage& stage = packed_plan->linear_stages[i];
-    int64_t stage_muls = 0, stage_group_muls = 0;
-    for (const auto& op : stage.ops) stage_muls += op.EncryptedScalarMuls();
-    for (const auto& kernel : stage.packed_kernels) {
-      stage_group_muls += kernel.GroupScalarMuls();
+    int64_t stage_muls = 0;
+    for (const auto& kernel : stage.kernels) {
+      stage_muls += kernel.weight_applications();
     }
     json << "      {\"name\": \"" << stage.name << "\""
          << ", \"packed\": "
@@ -428,7 +427,7 @@ int main(int argc, char** argv) {
     // Per-batch cost: the scalar path pays per lane, a packed round once.
     json << ", \"scalar_muls_per_batch\": " << stage_muls * batch
          << ", \"packed_group_muls_per_batch\": "
-         << (stage.packed_layout.has_value() ? stage_group_muls
+         << (stage.packed_layout.has_value() ? stage_muls
                                              : stage_muls * batch)
          << "}" << (i + 1 < packed_plan->linear_stages.size() ? ",\n" : "\n");
   }

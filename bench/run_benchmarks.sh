@@ -6,10 +6,10 @@
 # a machine-readable bench/BENCH_crypto.json with one record per op:
 #   {"op": "BM_PaillierEncrypt/512", "ns_per_op": 451234, "key_bits": 512}
 #
-# key_bits is the Paillier key size the op ran under: the benchmark arg for
-# ops that sweep key size, 512 for the remaining Paillier ops (their fixed
-# key, see bench_micro_crypto.cc), and 0 for non-Paillier primitives where
-# the arg is an operand width instead.
+# key_bits is the Paillier key size the op ran under: the (first) benchmark
+# arg for ops that sweep key size, 512 for the remaining Paillier ops (their
+# fixed key, see bench_micro_crypto.cc), and 0 for non-Paillier primitives
+# where the arg is an operand width instead.
 #
 # Also runs bench_pipeline, which writes bench/BENCH_pipeline.json
 # (per-stage latency quantiles + crypto/net counter totals from the
@@ -223,7 +223,8 @@ awk '
     kb = 0
     if (base == "BM_PaillierEncrypt" || base == "BM_PaillierDecrypt" ||
         base == "BM_PaillierEncryptPooled" ||
-        base == "BM_PaillierRandomizerKeyHolder") {
+        base == "BM_PaillierRandomizerKeyHolder" ||
+        base == "BM_WeightGroupFoldVsTable") {
       kb = arg + 0
     } else if (base ~ /^BM_Paillier/) {
       kb = 512

@@ -1,9 +1,13 @@
 #include "core/affine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <set>
+#include <tuple>
 
 #include "core/fixed_point.h"
 #include "nn/layers.h"
@@ -11,13 +15,6 @@
 #include "util/logging.h"
 
 namespace ppstream {
-
-// Profiled on 512-bit keys (bench_micro_crypto, EXPERIMENTS.md): a
-// minimal-window table build costs ~24.5us while each table-backed
-// ScalarMul saves ~3us (4-bit weights) to ~15us (17-bit weights) over
-// per-call ExpMont, putting break-even between 2 and 8 reuses. 4 is the
-// measured middle for the 10-20-bit weights quantization produces.
-const int64_t IntegerAffineLayer::kFixedBaseBreakEvenFanOut = 4;
 
 namespace {
 
@@ -222,6 +219,83 @@ Result<Tensor<BigInt>> IntegerAffineLayer::ApplyPlain(
   return out;
 }
 
+BigInt IntegerAffineLayer::OutputMagnitudeBound(
+    const BigInt& input_bound) const {
+  BigInt worst;
+  for (const AffineRow& row : rows_) {
+    BigInt sum_abs_w;
+    for (const AffineTerm& t : row.terms) {
+      sum_abs_w = sum_abs_w + BigInt(t.weight < 0 ? -t.weight : t.weight);
+    }
+    BigInt bias_abs = row.bias.IsNegative() ? -row.bias : row.bias;
+    BigInt bound = sum_abs_w * input_bound + bias_abs;
+    if (bound.Compare(worst) > 0) worst = std::move(bound);
+  }
+  return worst;
+}
+
+int64_t IntegerAffineLayer::TotalTerms() const {
+  int64_t total = 0;
+  for (const AffineRow& row : rows_) {
+    total += static_cast<int64_t>(row.terms.size());
+  }
+  return total;
+}
+
+Result<IntegerAffineLayer> IntegerAffineLayer::Compose(
+    const IntegerAffineLayer& first, const IntegerAffineLayer& second) {
+  if (first.out_shape_.NumElements() != second.in_shape_.NumElements()) {
+    return Status::InvalidArgument(internal::StrCat(
+        "cannot compose ", first.name_, " (", first.out_shape_.NumElements(),
+        " outputs) with ", second.name_, " (",
+        second.in_shape_.NumElements(), " inputs)"));
+  }
+  if (first.output_scale_power() != second.input_scale_power_) {
+    return Status::InvalidArgument(internal::StrCat(
+        "scale power mismatch composing ", first.name_, " (out F^",
+        first.output_scale_power(), ") with ", second.name_, " (in F^",
+        second.input_scale_power_, ")"));
+  }
+
+  IntegerAffineLayer out;
+  out.name_ = first.name_ + "*" + second.name_;
+  out.in_shape_ = first.in_shape_;
+  out.out_shape_ = second.out_shape_;
+  out.input_scale_power_ = first.input_scale_power_;
+  out.weight_scale_power_ =
+      first.weight_scale_power_ + second.weight_scale_power_;
+  out.rows_.resize(second.rows_.size());
+
+  // Sparse row-times-matrix: composed row j taps slot i with weight
+  // Σ_k w2[j,k]·w1[k,i]; composed bias is b2[j] + Σ_k w2[j,k]·b1[k].
+  // std::map keeps terms sorted by input slot for a deterministic layout.
+  std::map<uint32_t, BigInt> acc;
+  for (size_t j = 0; j < second.rows_.size(); ++j) {
+    const AffineRow& r2 = second.rows_[j];
+    AffineRow& dst = out.rows_[j];
+    dst.bias = r2.bias;
+    acc.clear();
+    for (const AffineTerm& t2 : r2.terms) {
+      if (t2.weight == 0) continue;
+      const AffineRow& r1 = first.rows_[t2.input_index];
+      const BigInt w2(t2.weight);
+      if (!r1.bias.IsZero()) dst.bias = dst.bias + w2 * r1.bias;
+      for (const AffineTerm& t1 : r1.terms) {
+        if (t1.weight == 0) continue;
+        BigInt& slot = acc[t1.input_index];
+        slot = slot + w2 * BigInt(t1.weight);
+      }
+    }
+    dst.terms.reserve(acc.size());
+    for (const auto& [slot, weight] : acc) {
+      if (weight.IsZero()) continue;  // cancellation across paths
+      PPS_ASSIGN_OR_RETURN(int64_t w, weight.ToInt64());
+      dst.terms.push_back({slot, w});
+    }
+  }
+  return out;
+}
+
 namespace {
 
 using MontValue = MontgomeryContext::MontValue;
@@ -311,125 +385,193 @@ Result<std::vector<Ciphertext>> FinishSignSplit(const PaillierPublicKey& pk,
   return std::move(slice->out);
 }
 
-/// Shared row-slice core for the whole-tensor and sub-tensor paths.
-/// `sub_indices == nullptr` means `in` is the full input (slot i at
-/// position i); otherwise `in[p]` holds slot (*sub_indices)[p].
-Result<std::vector<Ciphertext>> EvalEncryptedRows(
-    const PaillierPublicKey& pk, const std::vector<AffineRow>& rows,
-    size_t row_begin, size_t row_end, const std::vector<Ciphertext>& in,
-    const std::vector<uint32_t>* sub_indices,
-    const EncryptedStageCache* cache) {
-  const MontgomeryContext& ctx = pk.ctx_n2();
-  ResidentInputs resident(ctx, in);
-  auto position_of = [&](uint32_t slot) -> size_t {
-    if (sub_indices == nullptr) return slot;
-    return static_cast<size_t>(
-        std::lower_bound(sub_indices->begin(), sub_indices->end(), slot) -
-        sub_indices->begin());
-  };
-
-  SignSplitSlice slice(row_end - row_begin);
-  // Homomorphic weight applications (c^|w| in the Montgomery domain) count
-  // as scalar muls even though they bypass Paillier::ScalarMul; batched
-  // into one registry increment per call to keep the inner loop clean.
-  static obs::Counter* scalar_muls =
-      obs::MetricsRegistry::Global().GetCounter("crypto.scalar_muls");
-  uint64_t muls_applied = 0;
-  MontValue negative, term;
-  for (size_t j = row_begin; j < row_end; ++j) {
-    const size_t i = j - row_begin;
-    const AffineRow& row = rows[j];
-    // Identity rows (Flatten and friends) forward the ciphertext — the
-    // same bits the generic path yields, since E(0; r=1) * c^1 = c.
-    if (row.terms.size() == 1 && row.terms[0].weight == 1 &&
-        row.bias.IsZero()) {
-      slice.out[i] = in[position_of(row.terms[0].input_index)];
-      continue;
-    }
-    // Eq. (3): prod_i E(m_i)^{w_i} * E(b), accumulated in the Montgomery
-    // domain with positive and negative weights in separate products.
-    MontValue& positive = slice.pos[i];
-    positive = ctx.OneMont();  // E(0) with r = 1
-    negative = ctx.OneMont();
-    bool has_negative = false;
-    for (const AffineTerm& t : row.terms) {
-      if (t.weight == 0) continue;  // c^0 = 1, the accumulation identity
-      ++muls_applied;
-      MontValue& dst = t.weight > 0 ? positive : negative;
-      has_negative |= t.weight < 0;
-      const int64_t mag = t.weight < 0 ? -t.weight : t.weight;
-      const FixedBaseExp* base =
-          (cache != nullptr && t.input_index < cache->bases.size())
-              ? cache->bases[t.input_index].get()
-              : nullptr;
-      if (base != nullptr) {
-        PPS_RETURN_IF_ERROR(base->PowMont(BigInt(mag), &term));
-      } else {
-        const MontValue& c = resident.Mont(position_of(t.input_index));
-        if (mag == 1) {
-          ctx.MulMont(dst, c, &dst);
-          continue;
-        }
-        ctx.ExpMont(c, BigInt(mag), &term);
-      }
-      ctx.MulMont(dst, term, &dst);
-    }
-    slice.bias[i] = &row.bias;
-    if (has_negative) {
-      slice.neg.push_back(std::move(negative));
-      slice.neg_rows.push_back(i);
-    }
-  }
-  if (muls_applied != 0) scalar_muls->Increment(muls_applied);
-  return FinishSignSplit(pk, &slice);
+/// |w| as an unsigned magnitude (defined for INT64_MIN too).
+uint64_t Magnitude(int64_t w) {
+  return w < 0 ? ~static_cast<uint64_t>(w) + 1 : static_cast<uint64_t>(w);
 }
+
+/// Bits of |w|: 0 for w = 0, 1 for |w| = 1.
+int WeightBits(int64_t w) { return std::bit_width(Magnitude(w)); }
+
+/// Break-even group size of the fold rule, in tenths of a member, indexed
+/// by weight bits (entries 0 and 1 unused: |w| <= 1 never folds). Folding
+/// a table-backed group of m members beats splitting it iff 10·m exceeds
+/// the entry. Measured with bench_micro_crypto BM_WeightGroupFoldVsTable
+/// (EXPERIMENTS.md): the largest over 256- and 512-bit keys and groups of
+/// 4 and 16, rounded up. The shape follows the table's window width.
+/// Wider weights use the last entry.
+constexpr int kFoldBreakEvenTenths[] = {
+    0,  0,  34, 47, 61, 72, 58, 71, 70, 59, 82, 67, 67,
+    49, 49, 54, 64, 50, 50, 63, 63, 53, 65, 64, 64};
 
 }  // namespace
 
-Result<EncryptedStageCache> IntegerAffineLayer::BuildEncryptedStageCache(
-    const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
-    ThreadPool* pool, int64_t min_fan_out) const {
-  if (in.size() != static_cast<size_t>(in_shape_.NumElements())) {
-    return Status::InvalidArgument(
-        internal::StrCat(name_, ": cache input has ", in.size(),
-                         " slots, expected ", in_shape_.NumElements()));
-  }
-  if (min_fan_out <= 0) min_fan_out = kFixedBaseBreakEvenFanOut;
+// Profiled on 512-bit keys (bench_micro_crypto, EXPERIMENTS.md): a
+// minimal-window table build costs ~24.5us while each table-backed
+// ScalarMul saves ~3us (4-bit weights) to ~15us (17-bit weights) over
+// per-call ExpMont, putting break-even between 2 and 8 reuses. 4 is the
+// measured middle for the 10-20-bit weights quantization produces.
+const int64_t AffineKernel::kFixedBaseBreakEvenFanOut = 4;
 
-  // Tables are positive-only: the kernels raise c to |w| and apply the
-  // sign by a batch inverse per row slice (see EvalEncryptedRows).
-  struct SlotProfile {
-    int64_t fan_out = 0;
-    int max_weight_bits = 0;
-  };
-  std::vector<SlotProfile> profile(in.size());
-  for (const AffineRow& row : rows_) {
+bool AffineKernel::FoldsGroup(int weight_bits, size_t members,
+                              bool every_member_has_table) {
+  if (weight_bits < 2 || members < 2) return false;
+  if (!every_member_has_table) return true;
+  constexpr int kLast = static_cast<int>(std::size(kFoldBreakEvenTenths)) - 1;
+  return static_cast<int64_t>(members) * 10 >
+         kFoldBreakEvenTenths[std::min(weight_bits, kLast)];
+}
+
+AffineKernel AffineKernel::Build(const IntegerAffineLayer& op) {
+  AffineKernel kernel;
+  std::vector<SlotProfile>& slots = kernel.slots_;
+  slots.resize(static_cast<size_t>(op.input_shape().NumElements()));
+  for (const AffineRow& row : op.rows()) {
     for (const AffineTerm& t : row.terms) {
-      SlotProfile& p = profile[t.input_index];
-      ++p.fan_out;
-      p.max_weight_bits =
-          std::max(p.max_weight_bits, BigInt(t.weight).BitLength());
+      ++slots[t.input_index].fan_out;
+      slots[t.input_index].max_weight_bits =
+          std::max(slots[t.input_index].max_weight_bits,
+                   static_cast<int16_t>(WeightBits(t.weight)));
     }
   }
+  auto has_table = [&](const AffineTerm& t) {
+    return slots[t.input_index].fan_out >= kFixedBaseBreakEvenFanOut &&
+           slots[t.input_index].max_weight_bits >= 2;
+  };
+  // Sized for one application per term, so building never reallocates;
+  // folds only leave the tail unused.
+  const size_t rows = op.rows().size();
+  const size_t total_terms = static_cast<size_t>(op.TotalTerms());
+  kernel.row_begin_.reserve(rows + 1);
+  kernel.biases_.reserve(rows);
+  kernel.weights_.reserve(total_terms);
+  kernel.member_begin_.reserve(total_terms + 1);
+  kernel.inputs_.reserve(total_terms);
+  kernel.row_begin_.push_back(0);
+  kernel.member_begin_.push_back(0);
+  std::vector<AffineTerm> terms;
+  std::vector<std::pair<uint32_t, uint32_t>> applications;  // [begin, end)
+  for (const AffineRow& row : op.rows()) {
+    // Group the row's nonzero terms by weight value and decide each group.
+    // A fold is one application of all its members, a split one per
+    // member; applications then follow their first slot, so a row without
+    // folds keeps the op's slot order (and its memory locality).
+    terms.clear();
+    std::copy_if(row.terms.begin(), row.terms.end(),
+                 std::back_inserter(terms),
+                 [](const AffineTerm& t) { return t.weight != 0; });
+    std::sort(terms.begin(), terms.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.weight, a.input_index) <
+             std::tie(b.weight, b.input_index);
+    });
+    applications.clear();
+    for (uint32_t begin = 0, end = 0; begin < terms.size(); begin = end) {
+      while (end < terms.size() && terms[end].weight == terms[begin].weight) {
+        ++end;
+      }
+      const int bits = WeightBits(terms[begin].weight);
+      if (FoldsGroup(bits, end - begin,
+                     std::all_of(terms.begin() + begin,
+                                 terms.begin() + end, has_table))) {
+        applications.emplace_back(begin, end);
+        continue;
+      }
+      for (uint32_t m = begin; m < end; ++m) {
+        applications.emplace_back(m, m + 1);
+        if (bits >= 2) slots[terms[m].input_index].split_reads = true;
+      }
+    }
+    std::sort(applications.begin(), applications.end(),
+              [&](auto a, auto b) {
+                return terms[a.first].input_index <
+                       terms[b.first].input_index;
+              });
+    for (const auto& [begin, end] : applications) {
+      for (uint32_t m = begin; m < end; ++m) {
+        kernel.inputs_.push_back(terms[m].input_index);
+      }
+      kernel.weights_.push_back(terms[begin].weight);
+      kernel.member_begin_.push_back(
+          static_cast<uint32_t>(kernel.inputs_.size()));
+    }
+    kernel.row_begin_.push_back(static_cast<uint32_t>(kernel.weights_.size()));
+    kernel.biases_.push_back(row.bias);
+    const size_t j = kernel.biases_.size() - 1;
+    if (!kernel.IsIdentityRow(j)) {
+      kernel.weight_applications_ +=
+          static_cast<int64_t>(kernel.RowApplications(j));
+    }
+  }
+  kernel.weights_.shrink_to_fit();
+  kernel.member_begin_.shrink_to_fit();
+  return kernel;
+}
+
+Result<AffineKernel> AffineKernel::Build(const IntegerAffineLayer& op,
+                                         const PackedLayout& layout,
+                                         const BigInt& input_magnitude_bound) {
+  PPS_RETURN_IF_ERROR(layout.Validate());
+  // One bound covers every accumulation point: partial sums of
+  // sum_t w_t x_t + b are bounded by the full row's magnitude bound
+  // (sum of |w_t| * bound + |b|), so checking the worst row suffices.
+  const BigInt worst = op.OutputMagnitudeBound(input_magnitude_bound);
+  if (worst > layout.SlotCapacity()) {
+    return Status::OutOfRange(internal::StrCat(
+        op.name(), ": output bound of ", worst.BitLength(),
+        " bits overflows a ", layout.slot_bits, "-bit packed slot"));
+  }
+  PPS_RETURN_IF_ERROR(CheckSlotFits(layout, input_magnitude_bound));
+  AffineKernel kernel = Build(op);
+  kernel.layout_ = layout;
+  return kernel;
+}
+
+bool AffineKernel::IsIdentityRow(size_t row) const {
+  // A single weight-1 term and zero bias (Flatten and friends): the row
+  // forwards its input, the same bits the generic path yields, since
+  // E(0; r=1) * c^1 = c.
+  const uint32_t a = row_begin_[row];
+  return RowApplications(row) == 1 && weights_[a] == 1 &&
+         member_begin_[a + 1] - member_begin_[a] == 1 &&
+         biases_[row].IsZero();
+}
+
+size_t AffineKernel::RowGroups(size_t row) const {
+  return std::set<int64_t>(weights_.begin() + row_begin_[row],
+                           weights_.begin() + row_begin_[row + 1])
+      .size();
+}
+
+Result<EncryptedStageCache> AffineKernel::BuildStageCache(
+    const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
+    ThreadPool* pool, int64_t min_fan_out) const {
+  if (in.size() != slots_.size()) {
+    return Status::InvalidArgument(
+        internal::StrCat("stage cache input has ", in.size(),
+                         " slots, expected ", slots_.size()));
+  }
+  if (min_fan_out <= 0) min_fan_out = kFixedBaseBreakEvenFanOut;
 
   EncryptedStageCache cache;
   cache.bases.resize(in.size());
   std::vector<size_t> to_build;
-  for (size_t i = 0; i < profile.size(); ++i) {
-    // Weight-(+/-)1 slots never pay squarings, so a table buys nothing.
-    if (profile[i].fan_out >= min_fan_out && profile[i].max_weight_bits >= 2) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    // Weight-(+/-)1 slots never pay squarings, so a table buys nothing;
+    // nor does one that only folded groups read.
+    if (slots_[i].split_reads && slots_[i].fan_out >= min_fan_out &&
+        slots_[i].max_weight_bits >= 2) {
       to_build.push_back(i);
     }
   }
   if (to_build.empty()) return cache;
 
   auto build_one = [&](size_t slot) -> Status {
-    const SlotProfile& p = profile[slot];
     PPS_ASSIGN_OR_RETURN(
         FixedBaseExp base,
-        Paillier::PrecomputeScalarMulBase(pk, in[slot], p.max_weight_bits,
+        Paillier::PrecomputeScalarMulBase(pk, in[slot],
+                                          slots_[slot].max_weight_bits,
                                           /*allow_negative=*/false,
-                                          p.fan_out));
+                                          slots_[slot].fan_out));
     cache.bases[slot] = std::make_shared<const FixedBaseExp>(std::move(base));
     return Status::OK();
   };
@@ -454,223 +596,129 @@ Result<EncryptedStageCache> IntegerAffineLayer::BuildEncryptedStageCache(
   return cache;
 }
 
-Result<std::vector<Ciphertext>> IntegerAffineLayer::ApplyEncryptedRows(
+Result<std::vector<Ciphertext>> AffineKernel::ApplyRows(
     const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
-    size_t row_begin, size_t row_end,
-    const EncryptedStageCache* cache) const {
-  if (in.size() != static_cast<size_t>(in_shape_.NumElements())) {
-    return Status::InvalidArgument(
-        internal::StrCat(name_, ": encrypted input has ", in.size(),
-                         " slots, expected ", in_shape_.NumElements()));
+    int64_t lanes, size_t row_begin, size_t row_end,
+    const EncryptedStageCache* cache,
+    const std::vector<uint32_t>* sub_indices) const {
+  if (lanes < 1 || (lanes > 1 && (!layout_.has_value() ||
+                                  lanes > layout_->lanes))) {
+    return Status::InvalidArgument(internal::StrCat(
+        "batch of ", lanes, " lanes on a ",
+        layout_.has_value() ? layout_->lanes : 1, "-lane kernel"));
   }
-  if (row_begin > row_end || row_end > rows_.size()) {
+  if (row_begin > row_end || row_end > num_rows()) {
     return Status::OutOfRange("row slice out of range");
   }
-  return EvalEncryptedRows(pk, rows_, row_begin, row_end, in,
-                           /*sub_indices=*/nullptr, cache);
-}
-
-Result<std::vector<Ciphertext>> IntegerAffineLayer::ApplyEncryptedRowsSub(
-    const PaillierPublicKey& pk, const std::vector<Ciphertext>& sub,
-    const std::vector<uint32_t>& sub_indices, size_t row_begin,
-    size_t row_end, const EncryptedStageCache* cache) const {
-  if (sub.size() != sub_indices.size()) {
-    return Status::InvalidArgument(
-        internal::StrCat(name_, ": sub-tensor has ", sub.size(),
-                         " slots but ", sub_indices.size(), " indices"));
+  const size_t expected = sub_indices ? sub_indices->size() : slots_.size();
+  if (in.size() != expected) {
+    return Status::InvalidArgument(internal::StrCat(
+        "encrypted input has ", in.size(), " slots, expected ", expected));
   }
-  if (row_begin > row_end || row_end > rows_.size()) {
-    return Status::OutOfRange("row slice out of range");
-  }
-  for (size_t j = row_begin; j < row_end; ++j) {
-    for (const AffineTerm& t : rows_[j].terms) {
-      if (!std::binary_search(sub_indices.begin(), sub_indices.end(),
-                              t.input_index)) {
-        return Status::InvalidArgument(internal::StrCat(
-            name_, ": row ", j, " taps slot ", t.input_index,
-            " missing from the sub-tensor"));
+  // position[slot] = where a sub-tensor holds the slot.
+  constexpr uint32_t kAbsent = ~uint32_t{0};
+  std::vector<uint32_t> position;
+  if (sub_indices != nullptr) {
+    position.assign(slots_.size(), kAbsent);
+    for (size_t p = 0; p < sub_indices->size(); ++p) {
+      if ((*sub_indices)[p] >= slots_.size()) {
+        return Status::InvalidArgument("sub-tensor index out of range");
+      }
+      position[(*sub_indices)[p]] = static_cast<uint32_t>(p);
+    }
+    for (size_t j = row_begin; j < row_end; ++j) {
+      for (uint32_t m = member_begin_[row_begin_[j]];
+           m < member_begin_[row_begin_[j + 1]]; ++m) {
+        if (position[inputs_[m]] == kAbsent) {
+          return Status::InvalidArgument(internal::StrCat(
+              "row ", j, " taps slot ", inputs_[m],
+              " missing from the sub-tensor"));
+        }
       }
     }
   }
-  return EvalEncryptedRows(pk, rows_, row_begin, row_end, sub, &sub_indices,
-                           cache);
-}
-
-Result<Tensor<Ciphertext>> IntegerAffineLayer::ApplyEncrypted(
-    const PaillierPublicKey& pk, const Tensor<Ciphertext>& in) const {
-  PPS_ASSIGN_OR_RETURN(
-      std::vector<Ciphertext> out,
-      ApplyEncryptedRows(pk, in.data(), 0, rows_.size()));
-  return Tensor<Ciphertext>(out_shape_, std::move(out));
-}
-
-BigInt IntegerAffineLayer::OutputMagnitudeBound(
-    const BigInt& input_bound) const {
-  BigInt worst;
-  for (const AffineRow& row : rows_) {
-    BigInt sum_abs_w;
-    for (const AffineTerm& t : row.terms) {
-      sum_abs_w = sum_abs_w + BigInt(t.weight < 0 ? -t.weight : t.weight);
-    }
-    BigInt bias_abs = row.bias.IsNegative() ? -row.bias : row.bias;
-    BigInt bound = sum_abs_w * input_bound + bias_abs;
-    if (bound.Compare(worst) > 0) worst = std::move(bound);
-  }
-  return worst;
-}
-
-int64_t IntegerAffineLayer::TotalTerms() const {
-  int64_t total = 0;
-  for (const AffineRow& row : rows_) {
-    total += static_cast<int64_t>(row.terms.size());
-  }
-  return total;
-}
-
-int64_t IntegerAffineLayer::EncryptedScalarMuls() const {
-  int64_t total = 0;
-  for (const AffineRow& row : rows_) {
-    if (row.terms.size() == 1 && row.terms[0].weight == 1 &&
-        row.bias.IsZero()) {
-      continue;  // identity fast path: ciphertext forwarded, no mul
-    }
-    for (const AffineTerm& t : row.terms) {
-      if (t.weight != 0) ++total;
-    }
-  }
-  return total;
-}
-
-Result<PackedAffineKernel> PackedAffineKernel::Build(
-    const IntegerAffineLayer& layer, const PackedLayout& layout,
-    const BigInt& input_magnitude_bound) {
-  PPS_RETURN_IF_ERROR(layout.Validate());
-  // One bound covers every accumulation point: partial sums of
-  // sum_t w_t x_t + b are bounded by the full row's magnitude bound
-  // (sum of |w_t| * bound + |b|), so checking the worst row suffices.
-  const BigInt worst = layer.OutputMagnitudeBound(input_magnitude_bound);
-  if (worst > layout.SlotCapacity()) {
-    return Status::OutOfRange(internal::StrCat(
-        layer.name(), ": output bound of ", worst.BitLength(),
-        " bits overflows a ", layout.slot_bits, "-bit packed slot"));
-  }
-  PPS_RETURN_IF_ERROR(CheckSlotFits(layout, input_magnitude_bound));
-
-  PackedAffineKernel kernel;
-  kernel.layout_ = layout;
-  kernel.num_inputs_ =
-      static_cast<size_t>(layer.input_shape().NumElements());
-  kernel.rows_.reserve(layer.rows().size());
-  std::map<int64_t, std::vector<uint32_t>> by_weight;
-  for (const AffineRow& row : layer.rows()) {
-    PackedRowPlan plan;
-    if (row.terms.size() == 1 && row.terms[0].weight == 1 &&
-        row.bias.IsZero()) {
-      plan.identity = true;
-      plan.identity_input = row.terms[0].input_index;
-      kernel.rows_.push_back(std::move(plan));
-      continue;
-    }
-    by_weight.clear();
-    for (const AffineTerm& t : row.terms) {
-      if (t.weight == 0) continue;
-      by_weight[t.weight].push_back(t.input_index);
-    }
-    plan.groups.reserve(by_weight.size());
-    for (auto& [weight, inputs] : by_weight) {
-      plan.groups.push_back({weight, std::move(inputs)});
-    }
-    plan.bias = row.bias;
-    kernel.rows_.push_back(std::move(plan));
-  }
-  return kernel;
-}
-
-int64_t PackedAffineKernel::GroupScalarMuls() const {
-  int64_t total = 0;
-  for (const PackedRowPlan& row : rows_) {
-    total += static_cast<int64_t>(row.groups.size());
-  }
-  return total;
-}
-
-Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
-    const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
-    int64_t lanes, size_t row_begin, size_t row_end,
-    const EncryptedStageCache* cache) const {
-  if (in.size() != num_inputs_) {
-    return Status::InvalidArgument(
-        internal::StrCat("packed input has ", in.size(), " words, expected ",
-                         num_inputs_));
-  }
-  if (lanes < 1 || lanes > layout_.lanes) {
-    return Status::InvalidArgument(internal::StrCat(
-        "packed batch of ", lanes, " lanes on a ", layout_.lanes,
-        "-lane layout"));
-  }
-  if (row_begin > row_end || row_end > rows_.size()) {
-    return Status::OutOfRange("row slice out of range");
-  }
   const MontgomeryContext& ctx = pk.ctx_n2();
   ResidentInputs resident(ctx, in);
+  auto pos = [&position](uint32_t slot) -> size_t {
+    return position.empty() ? slot : position[slot];
+  };
+  auto table = [cache](uint32_t slot) -> const FixedBaseExp* {
+    return cache != nullptr && slot < cache->bases.size()
+               ? cache->bases[slot].get()
+               : nullptr;
+  };
 
   SignSplitSlice slice(row_end - row_begin);
-  const BigInt replicate = layout_.ReplicationConstant(lanes);
-  std::vector<BigInt> biases(row_end - row_begin);
-  // A group pays one weight application (counted under crypto.scalar_muls,
-  // same semantics as the scalar path) after |group|-1 ciphertext
-  // multiplications that fold its members together (crypto.pack.hom_adds).
+  // A packed batch replicates each bias into its live slots only.
+  std::vector<BigInt> replicated;
+  BigInt replicate;
+  if (lanes > 1) {
+    replicate = layout_->ReplicationConstant(lanes);
+    replicated.resize(row_end - row_begin);
+  }
+  // Weight applications count under crypto.scalar_muls (they bypass
+  // Paillier::ScalarMul), folds under crypto.pack.hom_adds; both batched
+  // into one registry increment per call to keep the inner loop clean.
   static obs::Counter* scalar_muls =
       obs::MetricsRegistry::Global().GetCounter("crypto.scalar_muls");
   static obs::Counter* hom_adds =
       obs::MetricsRegistry::Global().GetCounter("crypto.pack.hom_adds");
   uint64_t muls_applied = 0, adds_applied = 0;
-  MontValue negative, gacc, term;
+  MontValue negative, product, term;
   for (size_t j = row_begin; j < row_end; ++j) {
     const size_t i = j - row_begin;
-    const PackedRowPlan& row = rows_[j];
-    if (row.identity) {
-      slice.out[i] = in[row.identity_input];
+    const uint32_t a_begin = row_begin_[j], a_end = row_begin_[j + 1];
+    if (IsIdentityRow(j)) {
+      slice.out[i] = in[pos(inputs_[member_begin_[a_begin]])];
       continue;
     }
+    // Eq. (3): prod_i E(m_i)^{w_i} * E(b), accumulated in the Montgomery
+    // domain with positive and negative weights in separate products.
     MontValue& positive = slice.pos[i];
     positive = ctx.OneMont();  // E(0) with r = 1
     negative = ctx.OneMont();
     bool has_negative = false;
-    for (const PackedWeightGroup& group : row.groups) {
-      ++muls_applied;
-      // Negative groups land in their own product (inverted per slice by
-      // FinishSignSplit), so every fold multiplies c_i, never c_i^{-1}.
-      MontValue& dst = group.weight > 0 ? positive : negative;
-      has_negative |= group.weight < 0;
-      const int64_t mag = group.weight < 0 ? -group.weight : group.weight;
-      // Singleton groups with a cached fixed-base table skip the fold and
-      // the resident conversion entirely.
-      const FixedBaseExp* base =
-          (group.inputs.size() == 1 && cache != nullptr &&
-           group.inputs[0] < cache->bases.size())
-              ? cache->bases[group.inputs[0]].get()
-              : nullptr;
-      if (base != nullptr) {
-        PPS_RETURN_IF_ERROR(base->PowMont(BigInt(mag), &term));
+    for (uint32_t a = a_begin; a < a_end; ++a) {
+      const int64_t weight = weights_[a];
+      MontValue& dst = weight > 0 ? positive : negative;
+      has_negative |= weight < 0;
+      const uint64_t mag = Magnitude(weight);
+      const uint32_t m_begin = member_begin_[a], m_end = member_begin_[a + 1];
+      const uint32_t first = inputs_[m_begin];
+      if (m_end - m_begin == 1) {
+        // Split: |w| = 1 multiplies the resident in; otherwise a table when
+        // the cache has one, else ExpMont on the resident.
+        if (mag == 1) {
+          ctx.MulMont(dst, resident.Mont(pos(first)), &dst);
+          continue;
+        }
+        const FixedBaseExp* base = table(first);
+        if (base != nullptr) {
+          PPS_RETURN_IF_ERROR(base->PowMont(BigInt(mag), &term));
+        } else {
+          ctx.ExpMont(resident.Mont(pos(first)), BigInt(mag), &term);
+        }
         ctx.MulMont(dst, term, &dst);
         continue;
       }
-      // Fold the group: E(sum of members), slot-parallel across lanes.
-      gacc = resident.Mont(group.inputs[0]);
-      for (size_t m = 1; m < group.inputs.size(); ++m) {
-        ctx.MulMont(gacc, resident.Mont(group.inputs[m]), &gacc);
-        ++adds_applied;
+      // Fold: E(sum of members), slot-parallel across lanes, then one
+      // exponentiation. Negative groups fold into their own product, so a
+      // fold multiplies c_i, never c_i^{-1}.
+      product = resident.Mont(pos(first));
+      for (uint32_t m = m_begin + 1; m < m_end; ++m) {
+        ctx.MulMont(product, resident.Mont(pos(inputs_[m])), &product);
       }
-      if (mag == 1) {
-        ctx.MulMont(dst, gacc, &dst);
-      } else {
-        ctx.ExpMont(gacc, BigInt(mag), &term);
-        ctx.MulMont(dst, term, &dst);
-      }
+      adds_applied += m_end - m_begin - 1;
+      ctx.ExpMont(product, BigInt(mag), &term);
+      ctx.MulMont(dst, term, &dst);
     }
-    if (!row.bias.IsZero()) biases[i] = row.bias * replicate;
-    slice.bias[i] = &biases[i];
+    muls_applied += a_end - a_begin;
+    if (lanes > 1 && !biases_[j].IsZero()) {
+      replicated[i] = biases_[j] * replicate;
+      slice.bias[i] = &replicated[i];
+    } else {
+      slice.bias[i] = &biases_[j];
+    }
     if (has_negative) {
       slice.neg.push_back(std::move(negative));
       slice.neg_rows.push_back(i);
@@ -680,59 +728,4 @@ Result<std::vector<Ciphertext>> PackedAffineKernel::ApplyEncryptedRowsPacked(
   if (adds_applied != 0) hom_adds->Increment(adds_applied);
   return FinishSignSplit(pk, &slice);
 }
-
-Result<IntegerAffineLayer> IntegerAffineLayer::Compose(
-    const IntegerAffineLayer& first, const IntegerAffineLayer& second) {
-  if (first.out_shape_.NumElements() != second.in_shape_.NumElements()) {
-    return Status::InvalidArgument(internal::StrCat(
-        "cannot compose ", first.name_, " (", first.out_shape_.NumElements(),
-        " outputs) with ", second.name_, " (",
-        second.in_shape_.NumElements(), " inputs)"));
-  }
-  if (first.output_scale_power() != second.input_scale_power_) {
-    return Status::InvalidArgument(internal::StrCat(
-        "scale power mismatch composing ", first.name_, " (out F^",
-        first.output_scale_power(), ") with ", second.name_, " (in F^",
-        second.input_scale_power_, ")"));
-  }
-
-  IntegerAffineLayer out;
-  out.name_ = first.name_ + "*" + second.name_;
-  out.in_shape_ = first.in_shape_;
-  out.out_shape_ = second.out_shape_;
-  out.input_scale_power_ = first.input_scale_power_;
-  out.weight_scale_power_ =
-      first.weight_scale_power_ + second.weight_scale_power_;
-  out.rows_.resize(second.rows_.size());
-
-  // Sparse row-times-matrix: composed row j taps slot i with weight
-  // Σ_k w2[j,k]·w1[k,i]; composed bias is b2[j] + Σ_k w2[j,k]·b1[k].
-  // std::map keeps terms sorted by input slot for a deterministic layout.
-  std::map<uint32_t, BigInt> acc;
-  for (size_t j = 0; j < second.rows_.size(); ++j) {
-    const AffineRow& r2 = second.rows_[j];
-    AffineRow& dst = out.rows_[j];
-    dst.bias = r2.bias;
-    acc.clear();
-    for (const AffineTerm& t2 : r2.terms) {
-      if (t2.weight == 0) continue;
-      const AffineRow& r1 = first.rows_[t2.input_index];
-      const BigInt w2(t2.weight);
-      if (!r1.bias.IsZero()) dst.bias = dst.bias + w2 * r1.bias;
-      for (const AffineTerm& t1 : r1.terms) {
-        if (t1.weight == 0) continue;
-        BigInt& slot = acc[t1.input_index];
-        slot = slot + w2 * BigInt(t1.weight);
-      }
-    }
-    dst.terms.reserve(acc.size());
-    for (const auto& [slot, weight] : acc) {
-      if (weight.IsZero()) continue;  // cancellation across paths
-      PPS_ASSIGN_OR_RETURN(int64_t w, weight.ToInt64());
-      dst.terms.push_back({slot, w});
-    }
-  }
-  return out;
-}
-
 }  // namespace ppstream

@@ -6,7 +6,7 @@
 //
 // This single representation drives:
 //   * homomorphic evaluation on Paillier ciphertexts (Eq. 3 of the paper:
-//     prod_i E(m_i)^{w_i} * E(b));
+//     prod_i E(m_i)^{w_i} * E(b)), through the AffineKernel built from it;
 //   * exact plaintext integer evaluation (the correctness reference);
 //   * tensor partitioning — the receptive field of output j is exactly the
 //     support of row j (paper Section IV-D).
@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,20 +42,8 @@ struct AffineRow {
   BigInt bias;  // already at the row's output scale
 };
 
-/// Per-evaluation cache of fixed-base exponent tables, one per input slot
-/// whose fan-out (number of rows tapping it) crosses the break-even
-/// threshold. Tables depend on the ciphertexts, so the cache is built once
-/// per encrypted input tensor and shared read-only by every row slice /
-/// worker thread of that evaluation. Slots below break-even stay null and
-/// fall back to per-call ExpMont. Tables cover |w| only: the kernels apply
-/// a weight's sign through the row slice's batch inverse.
-struct EncryptedStageCache {
-  /// bases[i] covers input slot i, or null when no table was built for it.
-  std::vector<std::shared_ptr<const FixedBaseExp>> bases;
-  int64_t tables_built = 0;
-};
-
-/// A linear layer lowered to integer form.
+/// A linear layer lowered to integer form: the weights' math. Encrypted
+/// evaluation and its pricing live in AffineKernel.
 class IntegerAffineLayer {
  public:
   /// Lowers a linear layer given its concrete input shape. `scale` is F;
@@ -83,58 +72,12 @@ class IntegerAffineLayer {
   /// CipherBase-free fast path in tests).
   Result<Tensor<BigInt>> ApplyPlain(const Tensor<BigInt>& in) const;
 
-  /// Fan-out at which building a fixed-base table for an input slot beats
-  /// per-call ExpMont (profiled on 512-bit keys with quantized-weight
-  /// exponents; see DESIGN.md §8 and bench_micro_crypto).
-  static const int64_t kFixedBaseBreakEvenFanOut;
-
-  /// Profiles the layer's fan-out per input slot and precomputes
-  /// fixed-base tables for every slot tapped by at least `min_fan_out`
-  /// rows (0 means kFixedBaseBreakEvenFanOut). Table builds parallelize
-  /// over `pool` when given. The returned cache is read-only and safe to
-  /// share across the threads evaluating this layer on `in`.
-  Result<EncryptedStageCache> BuildEncryptedStageCache(
-      const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
-      ThreadPool* pool = nullptr, int64_t min_fan_out = 0) const;
-
-  /// Homomorphic evaluation on ciphertexts (model-provider hot path).
-  /// `row_begin`/`row_end` select a slice of output elements, enabling
-  /// output-tensor partitioning across threads; pass 0, rows().size() for
-  /// the whole output. Rows accumulate Montgomery-resident and convert
-  /// back once per output element; with a `cache` (built on this exact
-  /// `in`), high-fan-out slots use its fixed-base tables. Each row keeps
-  /// positive and negative terms in separate products P and N and
-  /// outputs P * N^{-1} * g^bias, with one ModInverse for all the N of
-  /// the slice, so no input ciphertext is ever inverted.
-  Result<std::vector<Ciphertext>> ApplyEncryptedRows(
-      const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
-      size_t row_begin, size_t row_end,
-      const EncryptedStageCache* cache = nullptr) const;
-
-  /// Same, against an input sub-tensor: `sub` holds only the slots listed
-  /// in `sub_indices` (sorted, unique — a ThreadWork::input_indices), and
-  /// rows [row_begin, row_end) may only tap those slots. `cache` is still
-  /// indexed by ORIGINAL input slot.
-  Result<std::vector<Ciphertext>> ApplyEncryptedRowsSub(
-      const PaillierPublicKey& pk, const std::vector<Ciphertext>& sub,
-      const std::vector<uint32_t>& sub_indices, size_t row_begin,
-      size_t row_end, const EncryptedStageCache* cache = nullptr) const;
-
-  Result<Tensor<Ciphertext>> ApplyEncrypted(
-      const PaillierPublicKey& pk, const Tensor<Ciphertext>& in) const;
-
   /// Worst-case |output| bound given a bound on |input| (both as integers
   /// at their respective scales). Used to verify values stay below n/2.
   BigInt OutputMagnitudeBound(const BigInt& input_bound) const;
 
   /// Total number of weighted taps (drives the profiler cost model).
   int64_t TotalTerms() const;
-
-  /// Homomorphic cost of one evaluation: weighted taps that actually pay a
-  /// ciphertext exponentiation. Mirrors EvalEncryptedRows exactly — identity
-  /// rows (single weight-1 term, zero bias) forward the ciphertext for free,
-  /// and zero-weight terms are skipped. The fusion pass optimizes this.
-  int64_t EncryptedScalarMuls() const;
 
   /// Exact integer composition `second ∘ first`: the affine map that sends
   /// x to second(first(x)). Composed weights are Σ w2·w1 accumulated in
@@ -154,61 +97,113 @@ class IntegerAffineLayer {
   int input_scale_power_ = 1;
 };
 
-/// One distinct nonzero quantized weight value of a row and every input
-/// slot sharing it. The packed kernel multiplies the group's ciphertexts
-/// together (slot-wise hom-adds) and applies the weight ONCE to the
-/// product — one scalar-mul per (row, distinct weight value) instead of
-/// one per term, which is where pruning/quantization pays off (Popcorn).
-struct PackedWeightGroup {
-  int64_t weight;
-  std::vector<uint32_t> inputs;
+/// Per-evaluation cache of fixed-base exponent tables. Tables depend on the
+/// ciphertexts, so the model provider has the op's kernel build one per
+/// encrypted input (AffineKernel::BuildStageCache), and every row slice /
+/// worker thread of that evaluation shares it read-only. Slots without a
+/// table stay null and use per-call ExpMont. Tables cover |w| only: the
+/// kernel applies a weight's sign through the row slice's batch inverse.
+struct EncryptedStageCache {
+  /// bases[i] covers input slot i, or null when no table was built for it.
+  std::vector<std::shared_ptr<const FixedBaseExp>> bases;
+  int64_t tables_built = 0;
 };
 
-/// Execution plan for one output row over packed inputs.
-struct PackedRowPlan {
-  bool identity = false;       // single weight-1 term, zero bias: forward
-  uint32_t identity_input = 0;
-  std::vector<PackedWeightGroup> groups;  // sorted by weight, deterministic
-  BigInt bias;  // replicated per evaluation into the live lanes' slots
-};
-
-/// A linear layer lowered for packed-ciphertext evaluation (DESIGN.md §13).
-/// Input word t carries tensor element t for `layout.lanes` inference
-/// lanes; the same row arithmetic then lands slot-parallel in all lanes.
-class PackedAffineKernel {
+/// The homomorphic evaluator of one IntegerAffineLayer, for packed words
+/// and one-lane ciphertexts alike (DESIGN.md §8, §13). Build groups each
+/// row's terms by weight value and decides once per group (FoldsGroup)
+/// whether each member pays its own weight application, through its
+/// slot's fixed-base table when the stage cache has one, or the members
+/// fold (one MulMont each, crypto.pack.hom_adds) and pay one ExpMont.
+/// Grouping never changes a bit: a row's output is the canonical residue
+/// of prod_t c_t^{w_t} * g^b. The kernel keeps its own flat copy of the
+/// op's rows, so plans copy by value.
+class AffineKernel {
  public:
-  /// Groups the layer's rows by distinct weight value. Fails
-  /// (kOutOfRange) if the layer's worst-case output for
-  /// `input_magnitude_bound` — which also bounds every partial sum the
-  /// evaluation can form — does not fit the layout's slot capacity.
-  static Result<PackedAffineKernel> Build(const IntegerAffineLayer& layer,
-                                          const PackedLayout& layout,
-                                          const BigInt& input_magnitude_bound);
+  /// Fan-out at which building a fixed-base table for an input slot beats
+  /// per-call ExpMont (DESIGN.md §8). A slot "has a table" for FoldsGroup
+  /// iff at least this many rows tap it, one with a weight of 2+ bits.
+  static const int64_t kFixedBaseBreakEvenFanOut;
 
-  const PackedLayout& layout() const { return layout_; }
-  const std::vector<PackedRowPlan>& rows() const { return rows_; }
-  size_t num_inputs() const { return num_inputs_; }
+  /// The build-time rule for `members` terms of one row sharing a weight
+  /// of `weight_bits` bits: fold iff strictly cheaper than splitting.
+  /// Never for |w| = 1 or one member; always when a member has no table
+  /// (the ExpMont is paid anyway); else above the break-even group size
+  /// bench_micro_crypto BM_WeightGroupFoldVsTable measures per width.
+  static bool FoldsGroup(int weight_bits, size_t members,
+                         bool every_member_has_table);
 
-  /// Scalar-muls one evaluation pays: one per non-identity (row, group).
-  int64_t GroupScalarMuls() const;
+  /// Builds the kernel for `op` in a round of one lane per ciphertext.
+  static AffineKernel Build(const IntegerAffineLayer& op);
+  /// Same, in a round that packs under `layout`. Fails (kOutOfRange) if
+  /// the op's worst-case output for `input_magnitude_bound` — which also
+  /// bounds every partial sum — overflows a slot.
+  static Result<AffineKernel> Build(const IntegerAffineLayer& op,
+                                    const PackedLayout& layout,
+                                    const BigInt& input_magnitude_bound);
 
-  /// Homomorphic evaluation over packed words whose first `lanes` slots
-  /// are live (same slicing contract as ApplyEncryptedRows; `cache` tables
-  /// must be built on this exact `in`). Biases land in the live slots
-  /// only, so the empty slots of a batch narrower than the layout decrypt
-  /// to 0 instead of revealing the biases to the key holder. Per-lane
-  /// decoded outputs are bit-exact with the scalar path because
-  /// ciphertext multiplication is commutative and slot arithmetic never
-  /// overflows (guaranteed by the Build-time bound check).
-  Result<std::vector<Ciphertext>> ApplyEncryptedRowsPacked(
+  /// The one price of an evaluation, what crypto.scalar_muls counts: one
+  /// weight application per folded group and per member of a split one.
+  /// Identity rows forward their input and pay none.
+  int64_t weight_applications() const { return weight_applications_; }
+  static int64_t WeightApplications(const IntegerAffineLayer& op) {
+    return Build(op).weight_applications();
+  }
+
+  size_t num_rows() const { return biases_.size(); }
+  size_t num_inputs() const { return slots_.size(); }
+  /// Set iff built for a packing round.
+  const std::optional<PackedLayout>& layout() const { return layout_; }
+  /// Row j's weight applications, and its groups (distinct weights).
+  size_t RowApplications(size_t row) const {
+    return row_begin_[row + 1] - row_begin_[row];
+  }
+  size_t RowGroups(size_t row) const;
+  /// A single weight-1 term and zero bias: the row forwards its input.
+  bool IsIdentityRow(size_t row) const;
+
+  /// Fixed-base tables for `in`, one per slot of 2+-bit weights that a
+  /// split application reads and at least `min_fan_out` rows tap (0 means
+  /// kFixedBaseBreakEvenFanOut), from the profile taken at Build. Builds
+  /// parallelize over `pool` when given.
+  Result<EncryptedStageCache> BuildStageCache(
+      const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
+      ThreadPool* pool = nullptr, int64_t min_fan_out = 0) const;
+
+  /// Evaluates rows [row_begin, row_end) on `in`, whose words carry
+  /// `lanes` live lanes (1 for one ciphertext per element; more requires a
+  /// layout of at least that many lanes). Rows accumulate Montgomery-
+  /// resident, positive and negative weights in separate products with one
+  /// batch inverse per slice, so no input ciphertext is ever inverted.
+  /// Biases land in the live slots only: the empty slots of a narrower
+  /// batch decrypt to 0. `cache` must be built on this exact input. With
+  /// `sub_indices` (unique, e.g. a ThreadWork::input_indices), `in` is a
+  /// sub-tensor holding only those slots, which the rows may only tap;
+  /// `cache` stays indexed by original slot.
+  Result<std::vector<Ciphertext>> ApplyRows(
       const PaillierPublicKey& pk, const std::vector<Ciphertext>& in,
       int64_t lanes, size_t row_begin, size_t row_end,
-      const EncryptedStageCache* cache = nullptr) const;
+      const EncryptedStageCache* cache = nullptr,
+      const std::vector<uint32_t>* sub_indices = nullptr) const;
 
  private:
-  PackedLayout layout_;
-  std::vector<PackedRowPlan> rows_;
-  size_t num_inputs_ = 0;
+  struct SlotProfile {
+    int32_t fan_out = 0;          // rows tapping the slot
+    int16_t max_weight_bits = 0;  // widest |w| on the slot
+    bool split_reads = false;     // some split application of |w| > 1
+  };
+
+  // Flat layout: row j's applications are [row_begin_[j], row_begin_[j+1]);
+  // application a applies weights_[a] to the product of the slots
+  // inputs_[member_begin_[a] .. member_begin_[a+1]).
+  std::vector<uint32_t> row_begin_;
+  std::vector<int64_t> weights_;
+  std::vector<uint32_t> member_begin_;
+  std::vector<uint32_t> inputs_;
+  std::vector<BigInt> biases_;
+  std::vector<SlotProfile> slots_;
+  std::optional<PackedLayout> layout_;
+  int64_t weight_applications_ = 0;
 };
 
 }  // namespace ppstream

@@ -44,14 +44,14 @@ Result<PartitionPlan> PartitionOp(const IntegerAffineLayer& op,
 }
 
 Result<std::vector<Ciphertext>> ApplyEncryptedPartitioned(
-    const PaillierPublicKey& pk, const IntegerAffineLayer& op,
+    const PaillierPublicKey& pk, const AffineKernel& kernel,
     const std::vector<Ciphertext>& in, const PartitionPlan& partition,
     bool input_partitioning, ThreadPool* pool,
-    const EncryptedStageCache* cache) {
-  if (in.size() != static_cast<size_t>(op.input_shape().NumElements())) {
+    const EncryptedStageCache* cache, int64_t lanes) {
+  if (in.size() != kernel.num_inputs()) {
     return Status::InvalidArgument("partitioned apply: input size mismatch");
   }
-  std::vector<Ciphertext> out(op.rows().size());
+  std::vector<Ciphertext> out(kernel.num_rows());
   std::atomic<bool> failed{false};
   Status first_error;
   std::mutex error_mutex;
@@ -65,12 +65,12 @@ Result<std::vector<Ciphertext>> ApplyEncryptedPartitioned(
       std::vector<Ciphertext> sub;
       sub.reserve(work.input_indices.size());
       for (uint32_t idx : work.input_indices) sub.push_back(in[idx]);
-      slice = op.ApplyEncryptedRowsSub(pk, sub, work.input_indices,
-                                       work.row_begin, work.row_end, cache);
+      slice = kernel.ApplyRows(pk, sub, lanes, work.row_begin, work.row_end,
+                               cache, &work.input_indices);
     } else {
       // Whole-tensor path (the Exp#4 baseline).
-      slice = op.ApplyEncryptedRows(pk, in, work.row_begin, work.row_end,
-                                    cache);
+      slice = kernel.ApplyRows(pk, in, lanes, work.row_begin, work.row_end,
+                               cache);
     }
     if (!slice.ok()) {
       std::lock_guard<std::mutex> lock(error_mutex);

@@ -49,17 +49,19 @@ struct PartitionPlan {
 Result<PartitionPlan> PartitionOp(const IntegerAffineLayer& op,
                                   size_t num_threads);
 
-/// Applies `op` homomorphically with the given partitioning on `pool`.
-/// If `input_partitioning` is set, each thread first materializes its
-/// input sub-tensor (modelling the per-thread message of a distributed
+/// Applies `kernel` homomorphically with the given partitioning on `pool`
+/// (the partition comes from PartitionOp over the op the kernel was built
+/// from). If `input_partitioning` is set, each thread first materializes
+/// its input sub-tensor (modelling the per-thread message of a distributed
 /// deployment) and computes from it; otherwise each thread reads the whole
-/// input. The two paths produce identical ciphertext outputs. `cache`
-/// (built via op.BuildEncryptedStageCache on this exact `in`) shares
-/// fixed-base tables across all threads; null evaluates without tables.
+/// input. The two paths produce identical ciphertext outputs, for one-lane
+/// ciphertexts and packed words (`lanes` live lanes) alike. `cache` (built
+/// via kernel.BuildStageCache on this exact `in`) shares fixed-base tables
+/// across all threads; null evaluates without tables.
 Result<std::vector<Ciphertext>> ApplyEncryptedPartitioned(
-    const PaillierPublicKey& pk, const IntegerAffineLayer& op,
+    const PaillierPublicKey& pk, const AffineKernel& kernel,
     const std::vector<Ciphertext>& in, const PartitionPlan& partition,
     bool input_partitioning, ThreadPool* pool,
-    const EncryptedStageCache* cache = nullptr);
+    const EncryptedStageCache* cache = nullptr, int64_t lanes = 1);
 
 }  // namespace ppstream

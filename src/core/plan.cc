@@ -1,5 +1,6 @@
 #include "core/plan.h"
 
+#include "obs/metrics.h"
 #include "planner/pass.h"
 #include "planner/passes.h"
 #include "util/logging.h"
@@ -50,16 +51,10 @@ obs::RequestCostBudget ExpectedRequestCost(const InferencePlan& plan,
                                  ? plan.input_shape.NumElements()
                                  : plan.linear_stages[r - 1]
                                        .output_shape.NumElements();
-    if (stage.PacksWith(lanes)) {
-      encrypts += elements;
-      for (const PackedAffineKernel& kernel : stage.packed_kernels) {
-        muls += kernel.GroupScalarMuls();
-      }
-    } else {
-      encrypts += elements * lanes;
-      for (const IntegerAffineLayer& op : stage.ops) {
-        muls += op.EncryptedScalarMuls() * lanes;
-      }
+    const int64_t per_word = stage.PacksWith(lanes) ? 1 : lanes;
+    encrypts += elements * per_word;
+    for (const AffineKernel& kernel : stage.kernels) {
+      muls += kernel.weight_applications() * per_word;
     }
   }
   budget.encrypts = static_cast<uint64_t>(encrypts);
@@ -187,9 +182,13 @@ Result<Model> EmitModel(const planner::StageGraph& graph) {
   return out;
 }
 
-/// Lowers the merged, verified graph to the deployable plan structure.
+/// Lowers the merged, verified graph to the deployable plan structure,
+/// building every linear op's kernel.
 Result<InferencePlan> EmitPlan(const planner::StageGraph& graph) {
   PPS_ASSIGN_OR_RETURN(std::vector<int64_t> order, graph.ChainOrder());
+  static obs::Counter* kernels_lowered =
+      obs::MetricsRegistry::Global().GetCounter(
+          "planner.pack.kernels_lowered");
 
   InferencePlan plan;
   plan.scale = graph.scale();
@@ -217,22 +216,24 @@ Result<InferencePlan> EmitPlan(const planner::StageGraph& graph) {
       }
       if (!stage.name.empty()) stage.name += "+";
       stage.name += n.name;
-      stage.ops.push_back(*n.affine);
-      if (n.packed_kernel.has_value()) {
-        stage.packed_kernels.push_back(*n.packed_kernel);
+      // The packing pass annotates whole rounds: the round's input and
+      // every op output carry its layout, or none of them do.
+      const planner::IrTensor& in = graph.tensor(n.input);
+      if (in.packed.has_value()) {
+        stage.packed_layout = in.packed;
+        PPS_ASSIGN_OR_RETURN(
+            AffineKernel kernel,
+            AffineKernel::Build(*n.affine, *in.packed, in.magnitude_bound));
+        stage.kernels.push_back(std::move(kernel));
+        kernels_lowered->Increment();
+      } else {
+        stage.kernels.push_back(AffineKernel::Build(*n.affine));
       }
+      stage.ops.push_back(*n.affine);
       ++i;
     }
     if (stage.ops.empty()) {
       return Status::Internal("empty linear stage during emission");
-    }
-    // A stage is packed only when EVERY op in the round lowered packed
-    // (the analyze pass annotates whole rounds, so this is all-or-none).
-    if (stage.packed_kernels.size() == stage.ops.size() &&
-        !stage.packed_kernels.empty()) {
-      stage.packed_layout = stage.packed_kernels.front().layout();
-    } else {
-      stage.packed_kernels.clear();
     }
     plan.linear_stages.push_back(std::move(stage));
 
@@ -297,7 +298,6 @@ Result<InferencePlan> CompilePlan(const Model& model, int64_t scale,
   if (options.packing.has_value()) {
     pipeline.Add(
         planner::MakeAnalyzePackingLegalityPass(*options.packing, &stats));
-    pipeline.Add(planner::MakeLowerToPackedKernelsPass(&stats));
   }
   if (options.placement.has_value()) {
     pipeline.Add(planner::MakePlacementPass(*options.placement, &placement));
@@ -305,6 +305,12 @@ Result<InferencePlan> CompilePlan(const Model& model, int64_t scale,
   PPS_RETURN_IF_ERROR(pipeline.Run(&graph, options.pass_observer));
 
   PPS_ASSIGN_OR_RETURN(InferencePlan plan, EmitPlan(graph));
+  for (const LinearStage& stage : plan.linear_stages) {
+    if (!stage.packed_layout.has_value()) continue;
+    for (const AffineKernel& kernel : stage.kernels) {
+      stats.packed_group_muls += kernel.weight_applications();
+    }
+  }
   plan.compile_stats = stats;
   if (options.placement.has_value()) {
     plan.placement = std::move(placement);

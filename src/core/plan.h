@@ -41,13 +41,16 @@ struct LinearStage {
   BigInt magnitude_bound;
   std::string name;
   /// Slot layout covering this round's input and every op output, when
-  /// the packing passes found one (DESIGN.md §13). Absent = the round
+  /// the packing pass found one (DESIGN.md §13). Absent = the round
   /// rides the scalar wire at any lane count. Present on data-provider
   /// views so both parties pack identically.
   std::optional<PackedLayout> packed_layout;
-  /// Weight-value-dedup kernels, one per op, iff packed_layout is set.
-  /// Model-provider side only (kernels derive from weights).
-  std::vector<PackedAffineKernel> packed_kernels;
+  /// The homomorphic evaluator of each op (kernels[k] runs ops[k]), built
+  /// with the stage's layout when it packs. The same kernel runs packed
+  /// words and one-lane ciphertexts, and its weight_applications() prices
+  /// both. Model-provider side only: empty on data-provider views, since
+  /// kernels derive from weights.
+  std::vector<AffineKernel> kernels;
 
   /// Whether a `lanes`-wide request carries this round as packed words
   /// (one per tensor element) rather than one ciphertext per element per
@@ -135,9 +138,10 @@ struct CompileOptions {
   /// When set, the placement pass solves Eq. 4-8 over the merged rounds
   /// and the result lands in InferencePlan::placement.
   std::optional<planner::PlacementSpec> placement;
-  /// When set, the packing passes choose per-round slot layouts and lower
-  /// weight-value-dedup packed kernels (DESIGN.md §13). Plans become
-  /// key-size specific: spec.key_bits must match the deployment key.
+  /// When set, the packing pass chooses per-round slot layouts and the
+  /// rounds that get one build their kernels for packed words (DESIGN.md
+  /// §13). Plans become key-size specific: spec.key_bits must match the
+  /// deployment key.
   std::optional<planner::PackingSpec> packing;
   /// Sees the IR after every pass (tools/plan_dump --pass-trace). Not
   /// owned; must outlive the CompilePlan call.
@@ -149,13 +153,12 @@ Result<InferencePlan> CompilePlan(const Model& model, int64_t scale,
                                   const CompileOptions& options = {});
 
 /// Expected crypto cost of one `lanes`-wide request, priced from the
-/// plan (a plain inference is lanes = 1). A round that packs
-/// (LinearStage::PacksWith) prices one encrypt per input element and
-/// GroupScalarMuls() per kernel; any other round prices one encrypt per
-/// element per lane and every op's EncryptedScalarMuls() per lane —
-/// exactly what crypto.encrypts / crypto.scalar_muls count. On a
-/// data-provider view the weights are absent, so scalar_muls prices to 0
-/// ("unknown, don't reconcile") while encrypts stays exact.
+/// plan (a plain inference is lanes = 1). Every round prices its kernels'
+/// weight_applications() and one encrypt per input element, once per
+/// packed word when the round packs (LinearStage::PacksWith), else once
+/// per lane — exactly what crypto.encrypts / crypto.scalar_muls count. On
+/// a data-provider view the weights are absent, so scalar_muls prices to
+/// 0 ("unknown, don't reconcile") while encrypts stays exact.
 obs::RequestCostBudget ExpectedRequestCost(const InferencePlan& plan,
                                            int64_t lanes = 1);
 

@@ -121,42 +121,38 @@ Result<std::vector<Ciphertext>> ModelProvider::ApplyLinearStage(
   PPS_RETURN_IF_ERROR(ProbeFault(fault_, "mp.ApplyLinearStage"));
   const LinearStage& stage = plan_->linear_stages[round];
   PPS_ASSIGN_OR_RETURN(size_t width, WireWidth(stage, lanes));
-  const bool packed = stage.PacksWith(lanes);
-  if (packed && stage.packed_kernels.size() != stage.ops.size()) {
-    return Status::Internal("packed stage is missing its lowered kernels");
+  if (stage.kernels.size() != stage.ops.size()) {
+    return Status::Internal("linear stage is missing its lowered kernels");
   }
-  // Runs the stage's ops over one wire vector: every lane's packed words,
-  // or one lane's scalars.
+  // Packed words carry every lane at once; interleaved lanes run one at a
+  // time as one-lane ciphertexts.
+  const int64_t word_lanes = width == 1 ? lanes : 1;
+  // Runs the stage's kernels over one wire vector.
   auto run_ops = [&](std::vector<Ciphertext> current)
       -> Result<std::vector<Ciphertext>> {
-    for (size_t k = 0; k < stage.ops.size(); ++k) {
-      const IntegerAffineLayer& op = stage.ops[k];
+    for (size_t k = 0; k < stage.kernels.size(); ++k) {
+      const AffineKernel& kernel = stage.kernels[k];
       // Fixed-base tables for the high-fan-out input slots of this op,
       // shared by every worker thread evaluating it (DESIGN.md §8). Fan-out
       // is a property of the op's terms, the same for words and scalars.
       Result<EncryptedStageCache> cache_result = [&] {
         obs::ScopedSpan cache_span("crypto.stage_cache_build", "crypto");
-        return op.BuildEncryptedStageCache(pk_, current, pool);
+        return kernel.BuildStageCache(pk_, current, pool);
       }();
       PPS_ASSIGN_OR_RETURN(EncryptedStageCache cache,
                            std::move(cache_result));
       obs::ScopedSpan mul_span("crypto.scalar_mul_batch", "crypto");
-      if (packed) {
-        const PackedAffineKernel& kernel = stage.packed_kernels[k];
-        PPS_ASSIGN_OR_RETURN(
-            current, kernel.ApplyEncryptedRowsPacked(
-                         pk_, current, lanes, 0, kernel.rows().size(), &cache));
-      } else if (pool != nullptr && pool->num_threads() > 1) {
+      if (pool != nullptr && pool->num_threads() > 1) {
         PPS_ASSIGN_OR_RETURN(PartitionPlan partition,
-                             PartitionOp(op, pool->num_threads()));
+                             PartitionOp(stage.ops[k], pool->num_threads()));
         PPS_ASSIGN_OR_RETURN(
-            current,
-            ApplyEncryptedPartitioned(pk_, op, current, partition,
-                                      input_partitioning, pool, &cache));
+            current, ApplyEncryptedPartitioned(pk_, kernel, current,
+                                               partition, input_partitioning,
+                                               pool, &cache, word_lanes));
       } else {
         PPS_ASSIGN_OR_RETURN(
-            current, op.ApplyEncryptedRows(pk_, current, 0, op.rows().size(),
-                                           &cache));
+            current, kernel.ApplyRows(pk_, current, word_lanes, 0,
+                                      kernel.num_rows(), &cache));
       }
     }
     return current;

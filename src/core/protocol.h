@@ -222,11 +222,10 @@ class ModelProvider : public ModelProviderApi {
       ThreadPool* pool = nullptr, bool input_partitioning = true) override {
     return ApplyLinearStage(round, in, /*lanes=*/1, pool, input_partitioning);
   }
-  /// A packed round runs the stage's weight-value-dedup kernels once for
-  /// every lane (the pool then only builds fixed-base tables); otherwise
-  /// each lane runs the per-term stage in turn, paying the full per-lane
-  /// price. Decoded outputs are bit-exact with `lanes` independent
-  /// inferences either way.
+  /// A packed round runs the stage's kernels once for every lane;
+  /// otherwise each lane runs them in turn, paying the full per-lane
+  /// price. Either way the pool partitions the rows. Decoded outputs are
+  /// bit-exact with `lanes` independent inferences.
   Result<std::vector<Ciphertext>> ApplyLinearStage(
       size_t round, const std::vector<Ciphertext>& in, int64_t lanes,
       ThreadPool* pool, bool input_partitioning = true);

@@ -1,11 +1,11 @@
 // Post-training model compression: magnitude pruning and k-bit weight
 // quantization (DESIGN.md §13).
 //
-// Both transforms exist to feed the packed linear kernels: a packed row
-// pays one homomorphic scalar-mul per (row, DISTINCT quantized weight
-// value), so zeroing small weights removes terms outright and collapsing
-// the weight distribution onto 2^k levels shrinks the group count — a
-// direct crypto-cost lever rather than a storage optimization. Compression
+// Both transforms exist to feed the affine kernels: a row's terms that
+// share a weight value can fold into one homomorphic scalar-mul once the
+// group is large enough, so zeroing small weights removes terms outright
+// and collapsing the weight distribution onto 2^k levels grows the groups
+// — a direct crypto-cost lever rather than a storage optimization. Compression
 // changes model outputs, so callers re-check accuracy (EvaluateAccuracy)
 // and report the delta; the protocol itself stays bit-exact relative to
 // whatever (compressed or not) model it was compiled from.

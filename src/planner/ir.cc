@@ -194,22 +194,10 @@ Status StageGraph::Verify() const {
       return Status::Internal(internal::StrCat(
           "node n", n.id, " has no round after merge-adjacent"));
     }
-    if (n.packed_kernel.has_value()) {
-      if (!n.affine.has_value()) {
-        return Status::Internal(internal::StrCat(
-            "node n", n.id, " has a packed kernel but no affine form"));
-      }
-      if (!in.packed.has_value() || !out.packed.has_value() ||
-          *in.packed != n.packed_kernel->layout() ||
-          *out.packed != n.packed_kernel->layout()) {
-        return Status::Internal(internal::StrCat(
-            "node n", n.id,
-            " packed kernel layout disagrees with its tensors"));
-      }
-      if (n.packed_kernel->rows().size() != n.affine->rows().size()) {
-        return Status::Internal(internal::StrCat(
-            "node n", n.id, " packed kernel row count disagrees with affine"));
-      }
+    // A round packs as a whole: a linear op reads and writes one layout.
+    if (n.op_class == OpClass::kLinear && in.packed != out.packed) {
+      return Status::Internal(internal::StrCat(
+          "node n", n.id, " straddles two slot layouts"));
     }
   }
 
@@ -309,14 +297,9 @@ std::string StageGraph::ToString() const {
     if (n.affine.has_value()) {
       out += internal::StrCat(" affine{rows=", n.affine->rows().size(),
                               " terms=", n.affine->TotalTerms(),
-                              " muls=", n.affine->EncryptedScalarMuls(),
+                              " muls=",
+                              AffineKernel::WeightApplications(*n.affine),
                               " wpow=", n.affine->weight_scale_power(), "}");
-    }
-    if (n.packed_kernel.has_value()) {
-      out += internal::StrCat(" packed{lanes=",
-                              n.packed_kernel->layout().lanes,
-                              " group_muls=",
-                              n.packed_kernel->GroupScalarMuls(), "}");
     }
     if (n.server >= 0) {
       out += internal::StrCat(" server=", n.server, " threads=", n.threads);

@@ -79,9 +79,6 @@ struct IrNode {
   /// linear stage r and the non-linear segment that follows it share r.
   int round = -1;
   bool final_segment = false;
-  /// Packed execution plan (linear nodes, set by lower-to-packed-kernels
-  /// when the node's input/output layouts are legal; absent = scalar).
-  std::optional<PackedAffineKernel> packed_kernel;
   /// Placement annotations (set by the placement pass).
   int server = -1;
   int threads = 1;

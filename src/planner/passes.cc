@@ -158,7 +158,9 @@ Status CountLinearWork(const StageGraph& graph, int64_t* ops,
     const IrNode& n = graph.node(id);
     if (n.op_class != OpClass::kLinear) continue;
     ++*ops;
-    if (n.affine.has_value()) *scalar_muls += n.affine->EncryptedScalarMuls();
+    if (n.affine.has_value()) {
+      *scalar_muls += AffineKernel::WeightApplications(*n.affine);
+    }
   }
   return Status::OK();
 }
@@ -191,9 +193,10 @@ class FuseAffineChainsPass : public Pass {
               *graph->node(a).affine, *graph->node(b).affine);
           if (!composed.ok()) continue;  // int64 overflow etc: keep split
           if (policy_ == FusionPolicy::kScalarMulCount &&
-              composed->EncryptedScalarMuls() >
-                  graph->node(a).affine->EncryptedScalarMuls() +
-                      graph->node(b).affine->EncryptedScalarMuls()) {
+              AffineKernel::WeightApplications(*composed) >
+                  AffineKernel::WeightApplications(*graph->node(a).affine) +
+                      AffineKernel::WeightApplications(
+                          *graph->node(b).affine)) {
             continue;  // fusing would densify; not worth it
           }
           Fuse(graph, a, b, std::move(*composed));
@@ -402,47 +405,6 @@ class AnalyzePackingLegalityPass : public Pass {
   PlanCompileStats* stats_;
 };
 
-class LowerToPackedKernelsPass : public Pass {
- public:
-  explicit LowerToPackedKernelsPass(PlanCompileStats* stats)
-      : stats_(stats) {}
-
-  std::string name() const override { return "lower-to-packed-kernels"; }
-
-  Status Run(StageGraph* graph) override {
-    PPS_ASSIGN_OR_RETURN(std::vector<int64_t> order, graph->ChainOrder());
-    int64_t kernels = 0, group_muls = 0;
-    for (int64_t id : order) {
-      IrNode& n = graph->node(id);
-      if (n.op_class != OpClass::kLinear || !n.affine.has_value()) continue;
-      const IrTensor& in = graph->tensor(n.input);
-      const IrTensor& out = graph->tensor(n.output);
-      if (!in.packed.has_value() || !out.packed.has_value()) continue;
-      if (*in.packed != *out.packed) {
-        return Status::Internal(internal::StrCat(
-            "node n", n.id, " straddles two slot layouts"));
-      }
-      PPS_ASSIGN_OR_RETURN(
-          PackedAffineKernel kernel,
-          PackedAffineKernel::Build(*n.affine, *out.packed,
-                                    in.magnitude_bound));
-      group_muls += kernel.GroupScalarMuls();
-      n.packed_kernel.emplace(std::move(kernel));
-      ++kernels;
-    }
-    if (stats_ != nullptr) stats_->packed_group_muls = group_muls;
-    if (kernels > 0) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("planner.pack.kernels_lowered")
-          ->Increment(static_cast<uint64_t>(kernels));
-    }
-    return Status::OK();
-  }
-
- private:
-  PlanCompileStats* stats_;
-};
-
 class PlacementPass : public Pass {
  public:
   PlacementPass(PlacementSpec spec, PlanPlacement* result)
@@ -469,10 +431,11 @@ class PlacementPass : public Pass {
     for (int64_t id : order) {
       const IrNode& n = graph->node(id);
       if (n.op_class == OpClass::kLinear) {
-        lin_cost[n.round] += n.affine.has_value()
-                                 ? static_cast<double>(
-                                       n.affine->EncryptedScalarMuls() + 1)
-                                 : 1.0;
+        lin_cost[n.round] +=
+            n.affine.has_value()
+                ? static_cast<double>(
+                      AffineKernel::WeightApplications(*n.affine) + 1)
+                : 1.0;
       } else {
         nonlin_cost[n.round] += static_cast<double>(
             graph->tensor(n.output).shape.NumElements());
@@ -555,9 +518,6 @@ std::unique_ptr<Pass> MakeVerifyBoundsPass() {
 std::unique_ptr<Pass> MakeAnalyzePackingLegalityPass(PackingSpec spec,
                                                      PlanCompileStats* stats) {
   return std::make_unique<AnalyzePackingLegalityPass>(spec, stats);
-}
-std::unique_ptr<Pass> MakeLowerToPackedKernelsPass(PlanCompileStats* stats) {
-  return std::make_unique<LowerToPackedKernelsPass>(stats);
 }
 std::unique_ptr<Pass> MakePlacementPass(PlacementSpec spec,
                                         PlanPlacement* result) {

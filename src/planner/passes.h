@@ -12,7 +12,6 @@
 //   merge-adjacent       group runs into alternating rounds (Figure 4)
 //   verify-bounds        recompute all bounds from scratch post-transform
 //   analyze-packing-legality  (optional) choose a slot layout per round
-//   lower-to-packed-kernels   (optional) weight-value-dedup packed kernels
 //   placement            (optional) Eq. 4-8 server/thread assignment
 
 #pragma once
@@ -31,9 +30,10 @@ namespace planner {
 /// When FuseAffineChains folds two adjacent linear ops into one.
 enum class FusionPolicy : uint8_t {
   /// Fuse only when the fused op costs no more homomorphic scalar muls
-  /// than the pair it replaces (the paper's end-to-end cost metric). This
-  /// accepts Conv+BatchNorm, Dense+ScalarScale, Flatten+Dense and rejects
-  /// Dense×Dense densification blow-ups. Note the fused op's *exponent
+  /// (AffineKernel weight applications) than the pair it replaces (the
+  /// paper's end-to-end cost metric). This accepts Conv+BatchNorm,
+  /// Dense+ScalarScale, Flatten+Dense and rejects Dense×Dense
+  /// densification blow-ups. Note the fused op's *exponent
   /// bits* grow (composed weights multiply), so per-mul cost can rise
   /// slightly even as the count shrinks — see DESIGN.md §12.
   kScalarMulCount = 0,
@@ -52,13 +52,14 @@ struct PlanCompileStats {
   int64_t scalar_muls_after_fusion = 0;
   int64_t ops_fused = 0;
   int64_t dead_tensors_removed = 0;
-  // Packing pass results (zero when the packing passes did not run).
+  // Packing pass results (zero when the packing pass did not run).
   int64_t rounds_packed = 0;
   int64_t rounds_packing_fallback = 0;
-  int64_t packed_group_muls = 0;  // muls one packed evaluation pays, total
+  // Weight applications of one evaluation of the rounds that pack.
+  int64_t packed_group_muls = 0;
 };
 
-/// Inputs for the packing passes (DESIGN.md §13). `key_bits` is the
+/// Inputs for the packing pass (DESIGN.md §13). `key_bits` is the
 /// Paillier key the plan will execute under — slot budgets derive from it,
 /// so packed plans are key-size specific. `guard_bits` is per-slot
 /// headroom on top of the propagated magnitude bound; `max_lanes` caps
@@ -122,10 +123,6 @@ std::unique_ptr<Pass> MakeVerifyBoundsPass();
 /// merge-adjacent and verify-bounds. `stats` may be null.
 std::unique_ptr<Pass> MakeAnalyzePackingLegalityPass(PackingSpec spec,
                                                      PlanCompileStats* stats);
-/// Builds a weight-value-dedup PackedAffineKernel for every linear node
-/// whose tensors carry a slot layout (one scalar-mul per (row, distinct
-/// weight value)). `stats` may be null.
-std::unique_ptr<Pass> MakeLowerToPackedKernelsPass(PlanCompileStats* stats);
 /// Wraps IlpAllocator: solves Eq. 4-8 over the merged rounds and writes
 /// server/thread annotations onto the nodes and `*result`. Requires
 /// merge-adjacent to have run. `result` must outlive the pipeline.

@@ -36,8 +36,8 @@ Result<std::vector<SimStageSpec>> BuildSimStagesFromPlan(
   for (size_t r = 0; r < rounds; ++r) {
     const LinearStage& lin = plan.linear_stages[r];
     int64_t muls = 0;
-    for (const IntegerAffineLayer& op : lin.ops) {
-      muls += op.EncryptedScalarMuls();
+    for (const AffineKernel& kernel : lin.kernels) {
+      muls += kernel.weight_applications();
     }
     SimStageSpec& mp = stages[2 * r];
     mp.single_thread_seconds =

@@ -1,5 +1,7 @@
 #include "stream/engine.h"
 
+#include <optional>
+
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -37,10 +39,7 @@ Status PpStreamEngine::Start() {
   const bool partition = config_.tensor_partitioning;
 
   // Stage 0: data provider encrypts the raw input.
-  const RetryPolicy retries =
-      config_.retry_policy.has_value()
-          ? *config_.retry_policy
-          : RetryPolicy::FromMaxRetries(config_.max_retries);
+  const RetryPolicy& retries = config_.retry_policy;
   if (config_.fault_injector != nullptr) {
     mp_->SetFaultInjector(config_.fault_injector);
     dp_->SetFaultInjector(config_.fault_injector);

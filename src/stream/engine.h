@@ -16,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "core/protocol.h"
 #include "stream/pipeline.h"
@@ -32,13 +31,10 @@ struct EngineConfig {
   /// Enables input tensor partitioning in linear stages (§IV-D).
   bool tensor_partitioning = true;
   size_t channel_capacity = 4;
-  /// Per-stage transient-failure retries (AF-Stream-style re-execution).
-  /// Compatibility knob: ignored when `retry_policy` is set.
-  int max_retries = 1;
-  /// Full retry policy (backoff, jitter, per-request deadline). When unset
-  /// the engine uses RetryPolicy::FromMaxRetries(max_retries) — the seed's
-  /// immediate-retry semantics.
-  std::optional<RetryPolicy> retry_policy;
+  /// Per-stage transient-failure retries (AF-Stream-style re-execution):
+  /// budget, backoff, jitter and per-request deadline. The default is one
+  /// immediate retry and no deadline.
+  RetryPolicy retry_policy;
   /// Optional chaos hook: wired into every stage ("stage.<name>"), every
   /// inter-stage channel ("channel.<i>", latency only), and the providers'
   /// protocol entry points ("mp.*" / "dp.*"). Null disables injection.

@@ -34,8 +34,8 @@ struct RetryPolicy {
   /// 0 disables the deadline.
   double deadline_seconds = 0;
 
-  /// Compatibility shim for the old `EngineConfig::max_retries` knob:
-  /// immediate retries, no deadline — the seed semantics.
+  /// `max_retries` immediate retries and no deadline — the seed semantics
+  /// (RetryPolicy{} is FromMaxRetries(1)).
   static RetryPolicy FromMaxRetries(int max_retries) {
     RetryPolicy policy;
     policy.max_retries = max_retries;

@@ -228,7 +228,7 @@ TEST_F(ChaosEngineTest, EveryRequestYieldsExactlyOneOutcomeUnderFaults) {
     rule.probability = rate;
     injector->AddRule(rule);
     EngineConfig config;
-    config.max_retries = 1;
+    config.retry_policy.max_retries = 1;
     config.fault_injector = injector;
     const size_t n = 12;
     const Drained drained = RunChaosRound(config, n);
@@ -248,7 +248,7 @@ TEST_F(ChaosEngineTest, FailureNamesOriginatingStageAndReleasesState) {
   rule.error_code = StatusCode::kProtocolError;
   injector->AddRule(rule);
   EngineConfig config;
-  config.max_retries = 0;
+  config.retry_policy.max_retries = 0;
   config.fault_injector = injector;
 
   auto mp = std::make_shared<ModelProvider>(*plan_, keys_->public_key, 41);
@@ -304,7 +304,7 @@ TEST_F(ChaosEngineTest, PayloadCorruptionIsCaughtAndRetried) {
   rule.corrupt_bytes = 8;
   injector->AddRule(rule);
   EngineConfig config;
-  config.max_retries = 3;
+  config.retry_policy.max_retries = 3;
   config.fault_injector = injector;
   const Drained drained = RunChaosRound(config, 6);
   EXPECT_EQ(drained.successes, 6u);

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "affine_kernel_checks.h"
 #include "core/affine.h"
 #include "core/fixed_point.h"
 #include "core/partition.h"
@@ -551,6 +554,8 @@ TEST_F(ProtocolTest, PartitionedApplyMatchesSerial) {
   auto plan_or = CompilePlan(model, 100);
   ASSERT_TRUE(plan_or.ok());
   const IntegerAffineLayer& conv_op = plan_or.value().linear_stages[0].ops[0];
+  const AffineKernel& conv_kernel =
+      plan_or.value().linear_stages[0].kernels[0];
 
   // Encrypt a small input.
   SecureRng rng = SecureRng::FromSeed(97);
@@ -566,8 +571,8 @@ TEST_F(ProtocolTest, PartitionedApplyMatchesSerial) {
     in.push_back(std::move(c).value());
   }
 
-  auto serial = conv_op.ApplyEncryptedRows(keys_->public_key, in, 0,
-                                           conv_op.rows().size());
+  auto serial = conv_kernel.ApplyRows(keys_->public_key, in, 1, 0,
+                                      conv_kernel.num_rows());
   ASSERT_TRUE(serial.ok());
 
   ThreadPool pool(3);
@@ -575,7 +580,7 @@ TEST_F(ProtocolTest, PartitionedApplyMatchesSerial) {
     auto partition = PartitionOp(conv_op, 3);
     ASSERT_TRUE(partition.ok());
     auto parallel =
-        ApplyEncryptedPartitioned(keys_->public_key, conv_op, in,
+        ApplyEncryptedPartitioned(keys_->public_key, conv_kernel, in,
                                   partition.value(), input_part, &pool);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ASSERT_EQ(parallel.value().size(), serial.value().size());
@@ -649,9 +654,27 @@ void ExpectSameCiphertexts(const std::vector<Ciphertext>& got,
   }
 }
 
+// Encrypts plain[i] = step * i - offset for every input slot of `op`.
+std::vector<Ciphertext> EncryptRamp(const PaillierPublicKey& pk,
+                                    const IntegerAffineLayer& op,
+                                    int64_t step, int64_t offset,
+                                    uint64_t seed, Tensor<BigInt>* plain) {
+  SecureRng rng = SecureRng::FromSeed(seed);
+  *plain = Tensor<BigInt>{op.input_shape()};
+  std::vector<Ciphertext> in;
+  for (int64_t i = 0; i < op.input_shape().NumElements(); ++i) {
+    (*plain)[i] = BigInt(step * i - offset);
+    auto c = Paillier::Encrypt(pk, (*plain)[i], rng);
+    PPS_CHECK_OK(c.status());
+    in.push_back(std::move(c).value());
+  }
+  return in;
+}
+
 TEST_F(ProtocolTest, AffineKernelsMatchCanonicalReferenceBitExact) {
   const PaillierPublicKey& pk = keys_->public_key;
   const IntegerAffineLayer op = SignPatternDenseOp();
+  const AffineKernel kernel = AffineKernel::Build(op);
   const std::vector<AffineRow>& rows = op.rows();
   ASSERT_EQ(rows.size(), 8u);
   ASSERT_TRUE(rows[3].terms.size() == 1 && rows[3].terms[0].weight == 1 &&
@@ -660,15 +683,8 @@ TEST_F(ProtocolTest, AffineKernelsMatchCanonicalReferenceBitExact) {
   ASSERT_TRUE(rows[4].terms.empty() && rows[4].bias.IsZero());
   ASSERT_TRUE(rows[5].terms.empty() && !rows[5].bias.IsZero());
 
-  SecureRng rng = SecureRng::FromSeed(131);
-  std::vector<Ciphertext> in;
-  Tensor<BigInt> plain{Shape{6}};
-  for (int64_t i = 0; i < 6; ++i) {
-    plain[i] = BigInt(int64_t{37} * i - 100);
-    auto c = Paillier::Encrypt(pk, plain[i], rng);
-    ASSERT_TRUE(c.ok());
-    in.push_back(std::move(c).value());
-  }
+  Tensor<BigInt> plain;
+  const std::vector<Ciphertext> in = EncryptRamp(pk, op, 37, 100, 131, &plain);
   const std::vector<Ciphertext> want = CanonicalRowsReference(pk, op, in);
   // The reference itself decrypts to the exact integer affine map.
   auto expected = op.ApplyPlain(plain);
@@ -680,24 +696,24 @@ TEST_F(ProtocolTest, AffineKernelsMatchCanonicalReferenceBitExact) {
         << "reference row " << j;
   }
 
-  auto whole = op.ApplyEncryptedRows(pk, in, 0, rows.size());
+  auto whole = kernel.ApplyRows(pk, in, 1, 0, rows.size());
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   ExpectSameCiphertexts(whole.value(), want, 0, "no cache");
   // A slice batch-inverts only its own rows.
-  auto slice = op.ApplyEncryptedRows(pk, in, 2, 7);
+  auto slice = kernel.ApplyRows(pk, in, 1, 2, 7);
   ASSERT_TRUE(slice.ok()) << slice.status().ToString();
   ExpectSameCiphertexts(slice.value(), want, 2, "rows [2, 7)");
 
   // min_fan_out=1: a table for every slot with a weight of 2+ bits; the
   // tables are positive-only, negative weights still come out exact.
-  auto cache = op.BuildEncryptedStageCache(pk, in, nullptr, /*min_fan_out=*/1);
+  auto cache = kernel.BuildStageCache(pk, in, nullptr, /*min_fan_out=*/1);
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   EXPECT_EQ(cache.value().tables_built, 6);
   for (const auto& base : cache.value().bases) {
     ASSERT_NE(base, nullptr);
     EXPECT_FALSE(base->allows_negative());
   }
-  auto cached = op.ApplyEncryptedRows(pk, in, 0, rows.size(), &cache.value());
+  auto cached = kernel.ApplyRows(pk, in, 1, 0, rows.size(), &cache.value());
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   ExpectSameCiphertexts(cached.value(), want, 0, "min_fan_out=1 cache");
 
@@ -707,7 +723,8 @@ TEST_F(ProtocolTest, AffineKernelsMatchCanonicalReferenceBitExact) {
   const EncryptedStageCache* caches[] = {nullptr, &cache.value()};
   for (bool input_part : {false, true}) {
     for (const EncryptedStageCache* c : caches) {
-      auto parallel = ApplyEncryptedPartitioned(pk, op, in, partition.value(),
+      auto parallel = ApplyEncryptedPartitioned(pk, kernel, in,
+                                                partition.value(),
                                                 input_part, &pool, c);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       ASSERT_EQ(parallel.value().size(), want.size());
@@ -717,6 +734,85 @@ TEST_F(ProtocolTest, AffineKernelsMatchCanonicalReferenceBitExact) {
               (input_part ? "1" : "0") + (c != nullptr ? ", cached" : ""));
     }
   }
+
+  // Every kind of weight application, through every entry, with no
+  // tables, the default tables and tables forced onto every slot.
+  const IntegerAffineLayer groups_op = WeightGroupDenseOp();
+  const AffineKernel groups = AffineKernel::Build(groups_op);
+  // Folded (9 tabled), folded without tables + a singleton, five split
+  // tabled members, nine |w| = 1 members, three folds of mixed signs
+  // (-6 x9 tabled, 3 x2 without tables) + a -1, two folds.
+  const std::vector<size_t> applications = {1, 2, 5, 9, 3, 2};
+  ASSERT_EQ(groups.num_rows(), applications.size());
+  for (size_t j = 0; j < applications.size(); ++j) {
+    EXPECT_EQ(groups.RowApplications(j), applications[j]) << "row " << j;
+  }
+  EXPECT_EQ(groups.weight_applications(), 22);
+  EXPECT_LT(groups.weight_applications(), groups_op.TotalTerms());
+  const std::vector<Ciphertext> groups_in =
+      EncryptRamp(pk, groups_op, 23, 120, 139, &plain);
+  const std::vector<Ciphertext> groups_want =
+      CanonicalRowsReference(pk, groups_op, groups_in);
+  ExpectEveryEntryBitExact(pk, groups_op, groups, groups_in, 1, groups_want,
+                           nullptr, 2, 4, "groups, no cache");
+  for (int64_t min_fan_out : {0, 1}) {
+    auto groups_cache =
+        groups.BuildStageCache(pk, groups_in, nullptr, min_fan_out);
+    ASSERT_TRUE(groups_cache.ok()) << groups_cache.status().ToString();
+    // Only slots 0-4 have a split application of |w| > 1 (rows 1-2);
+    // the rest are read by folds and |w| = 1 alone: no table.
+    EXPECT_EQ(groups_cache.value().tables_built, 5);
+    ExpectEveryEntryBitExact(
+        pk, groups_op, groups, groups_in, 1, groups_want,
+        &groups_cache.value(), 2, 4,
+        "groups, min_fan_out=" + std::to_string(min_fan_out));
+  }
+}
+
+TEST(AffineKernelTest, FoldRuleSplitsSmallTabledGroupsAndFoldsTheRest) {
+  // A group of 2-3 members that all have tables splits at any width.
+  for (int bits = 2; bits <= 14; ++bits) {
+    for (size_t members : {2, 3}) {
+      EXPECT_FALSE(AffineKernel::FoldsGroup(bits, members, true))
+          << bits << " bits, " << members << " members";
+    }
+  }
+  // 16 table-backed members fold at 3-6 bits.
+  for (int bits = 3; bits <= 6; ++bits) {
+    EXPECT_TRUE(AffineKernel::FoldsGroup(bits, 16, true)) << bits << " bits";
+  }
+  // |w| > 1 with a table-less member: the ExpMont is paid anyway.
+  for (int bits = 2; bits <= 40; ++bits) {
+    EXPECT_TRUE(AffineKernel::FoldsGroup(bits, 2, false)) << bits << " bits";
+  }
+  // |w| = 1 needs no exponentiation, and a single member has no group.
+  for (size_t members : {2, 16, 1000}) {
+    EXPECT_FALSE(AffineKernel::FoldsGroup(1, members, false));
+    EXPECT_FALSE(AffineKernel::FoldsGroup(1, members, true));
+  }
+  EXPECT_FALSE(AffineKernel::FoldsGroup(9, 1, false));
+
+  // The built kernel applies the rule per group and prices what it built.
+  // Row o taps slots [0, rows[o][1]) with weight rows[o][0]. Slots 0-15
+  // are tapped by 4+ rows (tabled), slots 16-19 by two (not).
+  DenseLayer dense(20, 5);
+  const int64_t rows[5][2] = {{4, 16}, {4, 3}, {1, 20}, {-5, 20}, {2, 16}};
+  for (int64_t o = 0; o < 5; ++o) {
+    for (int64_t i = 0; i < rows[o][1]; ++i) {
+      dense.weights()[o * 20 + i] = static_cast<double>(rows[o][0]) / 100.0;
+    }
+  }
+  auto op = IntegerAffineLayer::FromLayer(dense, Shape{20}, 100, 1);
+  ASSERT_TRUE(op.ok());
+  const AffineKernel kernel = AffineKernel::Build(op.value());
+  EXPECT_EQ(kernel.RowApplications(0), 1u);   // 16 tabled at 3 bits: fold
+  EXPECT_EQ(kernel.RowApplications(1), 3u);   // 3 tabled: split
+  EXPECT_EQ(kernel.RowApplications(2), 20u);  // |w| = 1: split
+  EXPECT_EQ(kernel.RowApplications(3), 1u);   // table-less members: fold
+  EXPECT_EQ(kernel.RowApplications(4), 1u);   // 16 tabled at 2 bits: fold
+  for (size_t j = 0; j < 5; ++j) EXPECT_EQ(kernel.RowGroups(j), 1u);
+  EXPECT_EQ(kernel.weight_applications(), 26);
+  EXPECT_EQ(AffineKernel::WeightApplications(op.value()), 26);
 }
 
 TEST_F(ProtocolTest, NonUnitInputFailsOnlyUnderANegativeWeight) {
@@ -733,9 +829,10 @@ TEST_F(ProtocolTest, NonUnitInputFailsOnlyUnderANegativeWeight) {
     in.push_back(std::move(c).value());
   }
   in[2] = Ciphertext{keys_->private_key.p()};
-  auto positive_only = op.ApplyEncryptedRows(pk, in, 0, 1);
+  const AffineKernel kernel = AffineKernel::Build(op);
+  auto positive_only = kernel.ApplyRows(pk, in, 1, 0, 1);
   EXPECT_TRUE(positive_only.ok()) << positive_only.status().ToString();
-  auto negative = op.ApplyEncryptedRows(pk, in, 1, 2);
+  auto negative = kernel.ApplyRows(pk, in, 1, 1, 2);
   EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -748,6 +845,7 @@ TEST_F(ProtocolTest, StageCacheMatchesNoCacheBitExact) {
   ASSERT_TRUE(plan_or.ok());
   const IntegerAffineLayer& dense_op =
       plan_or.value().linear_stages[0].ops[0];
+  const AffineKernel& kernel = plan_or.value().linear_stages[0].kernels[0];
 
   SecureRng rng = SecureRng::FromSeed(113);
   std::vector<Ciphertext> in;
@@ -757,18 +855,18 @@ TEST_F(ProtocolTest, StageCacheMatchesNoCacheBitExact) {
     in.push_back(std::move(c).value());
   }
 
-  auto no_cache = dense_op.ApplyEncryptedRows(keys_->public_key, in, 0,
-                                              dense_op.rows().size());
+  auto no_cache = kernel.ApplyRows(keys_->public_key, in, 1, 0,
+                                   kernel.num_rows());
   ASSERT_TRUE(no_cache.ok());
 
   // min_fan_out=1 forces a table for every slot regardless of break-even.
-  auto cache = dense_op.BuildEncryptedStageCache(keys_->public_key, in,
-                                                 nullptr, /*min_fan_out=*/1);
+  auto cache = kernel.BuildStageCache(keys_->public_key, in, nullptr,
+                                      /*min_fan_out=*/1);
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   EXPECT_GT(cache.value().tables_built, 0);
 
-  auto with_cache = dense_op.ApplyEncryptedRows(
-      keys_->public_key, in, 0, dense_op.rows().size(), &cache.value());
+  auto with_cache = kernel.ApplyRows(keys_->public_key, in, 1, 0,
+                                     kernel.num_rows(), &cache.value());
   ASSERT_TRUE(with_cache.ok()) << with_cache.status().ToString();
   ASSERT_EQ(with_cache.value().size(), no_cache.value().size());
   for (size_t j = 0; j < no_cache.value().size(); ++j) {
@@ -782,7 +880,7 @@ TEST_F(ProtocolTest, StageCacheMatchesNoCacheBitExact) {
     auto partition = PartitionOp(dense_op, 2);
     ASSERT_TRUE(partition.ok());
     auto parallel = ApplyEncryptedPartitioned(
-        keys_->public_key, dense_op, in, partition.value(), input_part,
+        keys_->public_key, kernel, in, partition.value(), input_part,
         &pool, &cache.value());
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     for (size_t j = 0; j < no_cache.value().size(); ++j) {
@@ -799,6 +897,7 @@ TEST_F(ProtocolTest, StageCacheRespectsBreakEvenThreshold) {
   ASSERT_TRUE(plan_or.ok());
   const IntegerAffineLayer& dense_op =
       plan_or.value().linear_stages[0].ops[0];
+  const AffineKernel& kernel = plan_or.value().linear_stages[0].kernels[0];
 
   SecureRng rng = SecureRng::FromSeed(119);
   std::vector<Ciphertext> in;
@@ -809,13 +908,12 @@ TEST_F(ProtocolTest, StageCacheRespectsBreakEvenThreshold) {
   }
   // Fan-out of this op is 5 (out_features): an unreachable threshold must
   // build nothing, and the evaluation must still work off tables.
-  auto none = dense_op.BuildEncryptedStageCache(keys_->public_key, in,
-                                                nullptr, /*min_fan_out=*/100);
+  auto none = kernel.BuildStageCache(keys_->public_key, in, nullptr,
+                                     /*min_fan_out=*/100);
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none.value().tables_built, 0);
-  auto out = dense_op.ApplyEncryptedRows(keys_->public_key, in, 0,
-                                         dense_op.rows().size(),
-                                         &none.value());
+  auto out = kernel.ApplyRows(keys_->public_key, in, 1, 0,
+                              kernel.num_rows(), &none.value());
   EXPECT_TRUE(out.ok());
 }
 
@@ -823,8 +921,7 @@ TEST_F(ProtocolTest, ApplyEncryptedRowsSubValidatesCoverage) {
   Model model = SmallDenseModel(121);
   auto plan_or = CompilePlan(model, 1000);
   ASSERT_TRUE(plan_or.ok());
-  const IntegerAffineLayer& dense_op =
-      plan_or.value().linear_stages[0].ops[0];
+  const AffineKernel& kernel = plan_or.value().linear_stages[0].kernels[0];
 
   SecureRng rng = SecureRng::FromSeed(123);
   auto c = Paillier::Encrypt(keys_->public_key, BigInt(5), rng);
@@ -833,13 +930,14 @@ TEST_F(ProtocolTest, ApplyEncryptedRowsSubValidatesCoverage) {
   // rejected rather than silently evaluated against the wrong slots.
   std::vector<Ciphertext> sub = {c.value()};
   std::vector<uint32_t> indices = {0};
-  auto result = dense_op.ApplyEncryptedRowsSub(keys_->public_key, sub,
-                                               indices, 0, 1);
+  auto result =
+      kernel.ApplyRows(keys_->public_key, sub, 1, 0, 1, nullptr, &indices);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
   // Mismatched sub/index sizes are rejected too.
-  auto mismatch = dense_op.ApplyEncryptedRowsSub(
-      keys_->public_key, sub, std::vector<uint32_t>{0, 1}, 0, 1);
+  const std::vector<uint32_t> two = {0, 1};
+  auto mismatch =
+      kernel.ApplyRows(keys_->public_key, sub, 1, 0, 1, nullptr, &two);
   EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "affine_kernel_checks.h"
 #include "core/affine.h"
 #include "core/fixed_point.h"
 #include "core/plan.h"
@@ -293,7 +296,7 @@ void CheckKernelAgainstPlain(const PaillierKeyPair& keys,
                              const IntegerAffineLayer& affine,
                              const PackedLayout& layout, int64_t lanes,
                              const BigInt& input_bound, uint64_t seed) {
-  auto kernel = PackedAffineKernel::Build(affine, layout, input_bound);
+  auto kernel = AffineKernel::Build(affine, layout, input_bound);
   ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
 
   const int64_t n_in = affine.input_shape().NumElements();
@@ -319,8 +322,8 @@ void CheckKernelAgainstPlain(const PaillierKeyPair& keys,
     words.push_back(std::move(c).value());
   }
 
-  auto out = kernel.value().ApplyEncryptedRowsPacked(
-      keys.public_key, words, lanes, 0, kernel.value().rows().size());
+  auto out = kernel.value().ApplyRows(keys.public_key, words, lanes, 0,
+                                      kernel.value().num_rows());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out.value().size(), affine.rows().size());
 
@@ -338,6 +341,59 @@ void CheckKernelAgainstPlain(const PaillierKeyPair& keys,
           << "lane " << l << " row " << j;
     }
   }
+}
+
+// Encrypts `count` packed words whose first `live_lanes` slots (all of
+// them by default) hold values drawn from [-200, 200) with seed
+// `vals_seed`; the rest stay 0.
+std::vector<Ciphertext> EncryptRandomWords(const PaillierPublicKey& pk,
+                                           const PackedLayout& layout,
+                                           int64_t count, uint64_t vals_seed,
+                                           uint64_t enc_seed,
+                                           int64_t live_lanes = 0) {
+  if (live_lanes == 0) live_lanes = layout.lanes;
+  Rng vals(vals_seed);
+  SecureRng enc_rng = SecureRng::FromSeed(enc_seed);
+  std::vector<Ciphertext> words;
+  for (int64_t t = 0; t < count; ++t) {
+    std::vector<BigInt> slots;
+    for (int64_t l = 0; l < live_lanes; ++l) {
+      slots.emplace_back(static_cast<int64_t>(vals.NextUniform(-200, 200)));
+    }
+    auto packed = PackSigned(layout, slots);
+    PPS_CHECK_OK(packed.status());
+    auto c = Paillier::Encrypt(pk, packed.value(), enc_rng);
+    PPS_CHECK_OK(c.status());
+    words.push_back(std::move(c).value());
+  }
+  return words;
+}
+
+// Per-term public primitives over packed words, with each bias replicated
+// into the `lanes` live slots: prod_g (prod_{i in g} c_i)^{w_g} is the
+// same residue as prod_i c_i^{w_i}, so no grouping may change a bit.
+std::vector<Ciphertext> PackedCanonicalReference(
+    const PaillierPublicKey& pk, const IntegerAffineLayer& affine,
+    const std::vector<Ciphertext>& words, const PackedLayout& layout,
+    int64_t lanes) {
+  std::vector<Ciphertext> want;
+  for (const AffineRow& row : affine.rows()) {
+    Ciphertext acc = Paillier::EncryptZeroDeterministic(pk);
+    for (const AffineTerm& t : row.terms) {
+      auto term = Paillier::ScalarMul(pk, words[t.input_index],
+                                      BigInt(t.weight));
+      PPS_CHECK_OK(term.status());
+      acc = Paillier::Add(pk, acc, term.value());
+    }
+    if (!row.bias.IsZero()) {
+      auto biased = Paillier::AddPlain(
+          pk, acc, row.bias * layout.ReplicationConstant(lanes));
+      PPS_CHECK_OK(biased.status());
+      acc = std::move(biased).value();
+    }
+    want.push_back(std::move(acc));
+  }
+  return want;
 }
 
 TEST_F(PackedKernelTest, MatchesPlainReferenceOnAllLanes) {
@@ -379,12 +435,12 @@ TEST_F(PackedKernelTest, SingleLaneDegenerateMatchesScalarPathExactly) {
     ASSERT_TRUE(c.ok());
     cts.push_back(std::move(c).value());
   }
-  auto kernel = PackedAffineKernel::Build(affine.value(), layout, input_bound);
+  auto kernel = AffineKernel::Build(affine.value(), layout, input_bound);
   ASSERT_TRUE(kernel.ok());
-  auto packed_out = kernel.value().ApplyEncryptedRowsPacked(
-      keys_->public_key, cts, /*lanes=*/1, 0, 3);
-  auto scalar_out =
-      affine.value().ApplyEncryptedRows(keys_->public_key, cts, 0, 3);
+  auto packed_out =
+      kernel.value().ApplyRows(keys_->public_key, cts, /*lanes=*/1, 0, 3);
+  auto scalar_out = AffineKernel::Build(affine.value())
+                        .ApplyRows(keys_->public_key, cts, 1, 0, 3);
   ASSERT_TRUE(packed_out.ok() && scalar_out.ok());
   for (size_t j = 0; j < 3; ++j) {
     auto a = Paillier::Decrypt(keys_->public_key, keys_->private_key,
@@ -427,61 +483,29 @@ TEST_F(PackedKernelTest, MatchesCanonicalReferenceBitExact) {
   ASSERT_TRUE(layout.ok()) << layout.status().ToString();
   ASSERT_GT(layout.value().lanes, 1);
   auto kernel =
-      PackedAffineKernel::Build(affine.value(), layout.value(), input_bound);
+      AffineKernel::Build(affine.value(), layout.value(), input_bound);
   ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-  const std::vector<PackedRowPlan>& plans = kernel.value().rows();
-  ASSERT_EQ(plans.size(), weights.size());
-  EXPECT_TRUE(plans[3].identity);
-  EXPECT_EQ(plans[1].groups.size(), 2u);  // {2: 3,4}, {4: 0,1,2}
-  EXPECT_EQ(plans[2].groups.size(), 3u);  // {-6: 0,1}, {-1: 4,5}, {6: 2,3}
+  ASSERT_EQ(kernel.value().num_rows(), weights.size());
+  EXPECT_TRUE(kernel.value().IsIdentityRow(3));
+  EXPECT_EQ(kernel.value().RowGroups(1), 2u);  // {2: 3,4}, {4: 0,1,2}
+  EXPECT_EQ(kernel.value().RowGroups(2), 3u);  // {-6: 0,1}, {-1: 4,5}, {6: 2,3}
 
   const PaillierPublicKey& pk = keys_->public_key;
-  Rng vals(141);
-  SecureRng enc_rng = SecureRng::FromSeed(143);
-  std::vector<Ciphertext> words;
-  for (int64_t t = 0; t < 6; ++t) {
-    std::vector<BigInt> slots;
-    for (int32_t l = 0; l < layout.value().lanes; ++l) {
-      slots.emplace_back(static_cast<int64_t>(vals.NextUniform(-200, 200)));
-    }
-    auto packed = PackSigned(layout.value(), slots);
-    ASSERT_TRUE(packed.ok());
-    auto c = Paillier::Encrypt(pk, packed.value(), enc_rng);
-    ASSERT_TRUE(c.ok());
-    words.push_back(std::move(c).value());
-  }
+  const int64_t lanes = layout.value().lanes;
+  const std::vector<Ciphertext> words =
+      EncryptRandomWords(pk, layout.value(), 6, 141, 143);
+  const std::vector<Ciphertext> want =
+      PackedCanonicalReference(pk, affine.value(), words, layout.value(),
+                               lanes);
 
-  // Per-term public primitives over the packed words, with the
-  // replicated bias: prod_g (prod_{i in g} c_i)^{w_g} is the same residue
-  // as prod_i c_i^{w_i}, so grouping must not change a bit.
-  std::vector<Ciphertext> want;
-  for (size_t j = 0; j < plans.size(); ++j) {
-    Ciphertext acc = Paillier::EncryptZeroDeterministic(pk);
-    for (const AffineTerm& t : affine.value().rows()[j].terms) {
-      auto term = Paillier::ScalarMul(pk, words[t.input_index],
-                                      BigInt(t.weight));
-      ASSERT_TRUE(term.ok());
-      acc = Paillier::Add(pk, acc, term.value());
-    }
-    if (!plans[j].bias.IsZero()) {
-      auto biased = Paillier::AddPlain(
-          pk, acc,
-          plans[j].bias *
-              layout.value().ReplicationConstant(layout.value().lanes));
-      ASSERT_TRUE(biased.ok());
-      acc = std::move(biased).value();
-    }
-    want.push_back(std::move(acc));
-  }
-
-  auto cache = affine.value().BuildEncryptedStageCache(pk, words, nullptr,
-                                                       /*min_fan_out=*/1);
+  auto cache =
+      kernel.value().BuildStageCache(pk, words, nullptr, /*min_fan_out=*/1);
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   EXPECT_GT(cache.value().tables_built, 0);
   const EncryptedStageCache* caches[] = {nullptr, &cache.value()};
   for (const EncryptedStageCache* c : caches) {
-    auto out = kernel.value().ApplyEncryptedRowsPacked(
-        pk, words, layout.value().lanes, 0, plans.size(), c);
+    auto out =
+        kernel.value().ApplyRows(pk, words, lanes, 0, weights.size(), c);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     ASSERT_EQ(out.value().size(), want.size());
     for (size_t j = 0; j < want.size(); ++j) {
@@ -489,12 +513,44 @@ TEST_F(PackedKernelTest, MatchesCanonicalReferenceBitExact) {
           << "row " << j << (c != nullptr ? " (cached)" : "");
     }
     // A slice batch-inverts only its own rows.
-    auto slice = kernel.value().ApplyEncryptedRowsPacked(
-        pk, words, layout.value().lanes, 2, 5, c);
+    auto slice = kernel.value().ApplyRows(pk, words, lanes, 2, 5, c);
     ASSERT_TRUE(slice.ok()) << slice.status().ToString();
     for (size_t j = 0; j < slice.value().size(); ++j) {
       EXPECT_EQ(slice.value()[j].value.Compare(want[2 + j].value), 0)
           << "slice row " << 2 + j << (c != nullptr ? " (cached)" : "");
+    }
+  }
+
+  // Every kind of weight application (folds with and without tables,
+  // split tabled groups, |w| = 1, mixed signs) at k lanes, through every
+  // entry, with no tables, the default tables and tables forced on.
+  const IntegerAffineLayer groups_op = WeightGroupDenseOp();
+  auto groups_layout = ChoosePackedLayout(
+      kTestKeyBits, groups_op.OutputMagnitudeBound(input_bound), 2, 64);
+  ASSERT_TRUE(groups_layout.ok()) << groups_layout.status().ToString();
+  ASSERT_GT(groups_layout.value().lanes, 1);
+  auto groups = AffineKernel::Build(groups_op, groups_layout.value(),
+                                    input_bound);
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  EXPECT_EQ(groups.value().weight_applications(), 22);
+  // A full batch and a narrower one (its empty slots stay 0).
+  for (int64_t k : {int64_t{groups_layout.value().lanes}, int64_t{2}}) {
+    const std::vector<Ciphertext> groups_words = EncryptRandomWords(
+        pk, groups_layout.value(), 12, 151 + k, 153 + k, k);
+    const std::vector<Ciphertext> groups_want = PackedCanonicalReference(
+        pk, groups_op, groups_words, groups_layout.value(), k);
+    const std::string lanes_name = std::to_string(k) + " lanes";
+    ExpectEveryEntryBitExact(pk, groups_op, groups.value(), groups_words, k,
+                             groups_want, nullptr, 2, 4,
+                             lanes_name + ", no cache");
+    for (int64_t min_fan_out : {0, 1}) {
+      auto groups_cache = groups.value().BuildStageCache(
+          pk, groups_words, nullptr, min_fan_out);
+      ASSERT_TRUE(groups_cache.ok()) << groups_cache.status().ToString();
+      ExpectEveryEntryBitExact(
+          pk, groups_op, groups.value(), groups_words, k, groups_want,
+          &groups_cache.value(), 2, 4,
+          lanes_name + ", min_fan_out=" + std::to_string(min_fan_out));
     }
   }
 }
@@ -506,38 +562,68 @@ TEST_F(PackedKernelTest, BuildRejectsLayoutTooSmallForBound) {
       IntegerAffineLayer::FromLayer(*dense, Shape{6}, /*scale=*/100, 1);
   ASSERT_TRUE(affine.ok());
   PackedLayout tiny{4, 8, 1};  // capacity 127 << dense output bound
-  auto kernel =
-      PackedAffineKernel::Build(affine.value(), tiny, BigInt(200));
+  auto kernel = AffineKernel::Build(affine.value(), tiny, BigInt(200));
   EXPECT_FALSE(kernel.ok());
 }
 
-TEST_F(PackedKernelTest, QuantizedWeightsCutGroupScalarMuls) {
-  Rng rng(13);
-  Model model(Shape{16}, "quant");
-  PPS_CHECK_OK(model.Add(DenseLayer::Random(16, 12, rng)));
-  PPS_CHECK_OK(model.Add(std::make_unique<SoftmaxLayer>()));
-  CompressionSpec spec;
-  spec.weight_bits = 3;  // at most 7 distinct nonzero levels
-  auto compressed = CompressModel(model, spec);
-  ASSERT_TRUE(compressed.ok());
-  const auto& dense =
-      dynamic_cast<const DenseLayer&>(compressed.value().layer(0));
-  auto affine =
-      IntegerAffineLayer::FromLayer(dense, Shape{16}, /*scale=*/100, 1);
-  ASSERT_TRUE(affine.ok());
-  const BigInt out_bound = affine.value().OutputMagnitudeBound(BigInt(200));
-  auto layout = ChoosePackedLayout(kTestKeyBits, out_bound, 2, 64);
-  ASSERT_TRUE(layout.ok());
-  auto kernel = PackedAffineKernel::Build(affine.value(), layout.value(),
-                                          BigInt(200));
-  ASSERT_TRUE(kernel.ok());
-  // 12 rows x <= 7 distinct values beats 12 x 16 per-term muls.
-  EXPECT_LE(kernel.value().GroupScalarMuls(), 12 * 7);
-  EXPECT_LT(kernel.value().GroupScalarMuls(),
-            affine.value().EncryptedScalarMuls());
-  // Still exact.
-  CheckKernelAgainstPlain(*keys_, affine.value(), layout.value(),
-                          layout.value().lanes, BigInt(200), 777);
+TEST_F(PackedKernelTest, QuantizedWeightsCutWeightApplications) {
+  // Groups of a k-bit quantized layer fold only where folding beats the
+  // members' fixed-base tables, so quantization never costs applications,
+  // and cuts them once a layer is wide enough for its groups to pass the
+  // break-even group size (bench_micro_crypto BM_WeightGroupFoldVsTable,
+  // at most 8.1 members for any weight width).
+  auto quantized_dense = [](int64_t inputs, uint64_t seed) {
+    Rng rng(seed);
+    Model model(Shape{inputs}, "quant");
+    PPS_CHECK_OK(model.Add(DenseLayer::Random(inputs, 12, rng)));
+    PPS_CHECK_OK(model.Add(std::make_unique<SoftmaxLayer>()));
+    CompressionSpec spec;
+    spec.weight_bits = 3;  // at most 7 distinct nonzero levels
+    auto compressed = CompressModel(model, spec);
+    PPS_CHECK_OK(compressed.status());
+    const auto& dense =
+        dynamic_cast<const DenseLayer&>(compressed.value().layer(0));
+    auto affine =
+        IntegerAffineLayer::FromLayer(dense, Shape{inputs}, /*scale=*/100, 1);
+    PPS_CHECK_OK(affine.status());
+    return std::move(affine).value();
+  };
+  auto check_layer = [&](const IntegerAffineLayer& affine, uint64_t seed,
+                         int64_t* count) {
+    const BigInt out_bound = affine.OutputMagnitudeBound(BigInt(200));
+    auto layout = ChoosePackedLayout(kTestKeyBits, out_bound, 2, 64);
+    ASSERT_TRUE(layout.ok());
+    auto kernel = AffineKernel::Build(affine, layout.value(), BigInt(200));
+    ASSERT_TRUE(kernel.ok());
+    // Never more than one application per term.
+    EXPECT_LE(kernel.value().weight_applications(), affine.TotalTerms());
+    // Still exact.
+    CheckKernelAgainstPlain(*keys_, affine, layout.value(),
+                            layout.value().lanes, BigInt(200), seed);
+    *count = kernel.value().weight_applications();
+  };
+
+  // 16 inputs: groups of 1-7 members, nearly all below the break-even.
+  int64_t count = 0;
+  check_layer(quantized_dense(16, 13), 777, &count);
+
+  // 256 inputs: every group of every row exceeds the break-even, all its
+  // members have tables (fan-out 12), so every group folds.
+  const IntegerAffineLayer wide = quantized_dense(256, 13);
+  for (const AffineRow& row : wide.rows()) {
+    std::map<int64_t, size_t> groups;
+    for (const AffineTerm& t : row.terms) ++groups[t.weight];
+    for (const auto& [weight, members] : groups) {
+      const int bits = BigInt(weight).BitLength();
+      EXPECT_GE(bits, 2) << "weight " << weight;
+      EXPECT_TRUE(AffineKernel::FoldsGroup(bits, members, true))
+          << "weight " << weight << " x" << members;
+    }
+  }
+  check_layer(wide, 779, &count);
+  // 12 rows x <= 7 distinct values beats 12 x 256 per-term muls.
+  EXPECT_LE(count, 12 * 7);
+  EXPECT_LT(count, wide.TotalTerms());
 }
 
 // --------------------------------------------------------------- passes
@@ -554,7 +640,7 @@ TEST(PackingPassTest, AnnotatesRoundsAndLowersKernels) {
   EXPECT_GT(plan.value().PackedBatchLanes(), 1);
   for (const LinearStage& stage : plan.value().linear_stages) {
     ASSERT_TRUE(stage.packed_layout.has_value());
-    EXPECT_EQ(stage.packed_kernels.size(), stage.ops.size());
+    EXPECT_EQ(stage.kernels.size(), stage.ops.size());
   }
 }
 
@@ -570,7 +656,9 @@ TEST(PackingPassTest, FallsBackWhenKeyLeavesNoLanes) {
   EXPECT_EQ(plan.value().PackedBatchLanes(), 0);
   for (const LinearStage& stage : plan.value().linear_stages) {
     EXPECT_FALSE(stage.packed_layout.has_value());
-    EXPECT_TRUE(stage.packed_kernels.empty());
+    for (const AffineKernel& kernel : stage.kernels) {
+      EXPECT_FALSE(kernel.layout().has_value());
+    }
   }
 }
 
@@ -807,6 +895,87 @@ TEST_F(PackedProtocolTest, SingleLaneBatchWorks) {
   }
 }
 
+TEST_F(PackedProtocolTest, PricingEqualsCountingWhereGroupsFold) {
+  // A pruned, 6-bit quantized MNIST-2-shaped plan: its kernels fold many
+  // groups, so weight applications differ from terms, and the one price
+  // must still equal what every path counts, partitioned packed rounds
+  // included.
+  auto model = MakeZooModel(ZooModelId::kMnist2, 41);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  CompressionSpec spec;
+  spec.prune_fraction = 0.25;
+  spec.weight_bits = 6;
+  auto compressed = CompressModel(model.value(), spec);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  CompileOptions options;
+  options.packing = planner::PackingSpec{kTestKeyBits, 2, 64};
+  auto plan_or = CompilePlan(compressed.value(), 1000, options);
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  ASSERT_TRUE(plan_or.value().CheckFitsKey(keys_->public_key.n()).ok());
+  auto plan = std::make_shared<InferencePlan>(std::move(plan_or).value());
+  const int64_t lanes = std::min<int64_t>(plan->PackedBatchLanes(), 3);
+  ASSERT_GT(lanes, 1);
+  int64_t applications = 0, terms = 0;
+  for (const LinearStage& stage : plan->linear_stages) {
+    for (size_t k = 0; k < stage.ops.size(); ++k) {
+      applications += stage.kernels[k].weight_applications();
+      terms += stage.ops[k].TotalTerms();
+    }
+  }
+  EXPECT_LT(applications, terms) << "no group folds";
+
+  DataProvider::Options dp_options;
+  dp_options.prefill = true;
+  std::vector<DoubleTensor> inputs;
+  for (int64_t l = 0; l < lanes; ++l) {
+    inputs.push_back(
+        RandomTensor(plan->input_shape, 801 + static_cast<uint64_t>(l)));
+  }
+  auto expect_spent = [](const obs::CryptoCostSnapshot& before,
+                         const obs::RequestCostBudget& budget,
+                         const std::string& path) {
+    const obs::CryptoCostSnapshot spent =
+        obs::CryptoCostSnapshot::Capture() - before;
+    EXPECT_EQ(spent.scalar_muls, budget.scalar_muls) << path;
+    EXPECT_EQ(spent.encrypts, budget.encrypts) << path;
+  };
+  auto expect_exact = [&](const DoubleTensor& got, size_t lane,
+                          const std::string& path) {
+    auto plain = RunScaledPlainInference(*plan, inputs[lane]);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_EQ(got.NumElements(), plain.value().NumElements());
+    for (int64_t i = 0; i < got.NumElements(); ++i) {
+      EXPECT_DOUBLE_EQ(got[i], plain.value()[i])
+          << path << ", lane " << lane << ", element " << i;
+    }
+  };
+  {
+    ModelProvider mp(plan, keys_->public_key, 803);
+    DataProvider dp(plan, *keys_, 805, dp_options);
+    const auto before = obs::CryptoCostSnapshot::Capture();
+    auto out = RunProtocolInference(mp, dp, 807, inputs[0]);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    expect_spent(before, ExpectedRequestCost(*plan, 1),
+                 "RunProtocolInference");
+    expect_exact(out.value(), 0, "RunProtocolInference");
+  }
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string path = p == nullptr ? "packed batch" : "packed batch, "
+                                                             "4 threads";
+    ModelProvider mp(plan, keys_->public_key, 809);
+    DataProvider dp(plan, *keys_, 811, dp_options);
+    const auto before = obs::CryptoCostSnapshot::Capture();
+    auto out = RunPackedBatchInference(mp, dp, 813, inputs, p);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    expect_spent(before, ExpectedRequestCost(*plan, lanes), path);
+    ASSERT_EQ(out.value().size(), inputs.size());
+    for (size_t l = 0; l < inputs.size(); ++l) {
+      expect_exact(out.value()[l], l, path);
+    }
+  }
+}
+
 TEST_F(PackedProtocolTest, EmptySlotsOfANarrowBatchStayZero) {
   // A batch narrower than the layout leaves slots empty. The key holder
   // decrypts every model-provider word, so an empty slot must carry 0,
@@ -857,7 +1026,6 @@ TEST_F(PackedProtocolTest, MidProtocolScalarFallbackStaysExact) {
   // Force the MIDDLE round scalar: exercises the packed->interleaved and
   // interleaved->packed transitions plus blockwise obfuscation.
   plan_val.linear_stages[1].packed_layout.reset();
-  plan_val.linear_stages[1].packed_kernels.clear();
   auto plan = std::make_shared<InferencePlan>(std::move(plan_val));
   const int64_t lanes = std::min<int64_t>(plan->PackedBatchLanes(), 3);
   ASSERT_GT(lanes, 1);
@@ -909,7 +1077,7 @@ TEST_F(PackedProtocolTest, ViewSerializationCarriesLayouts) {
     ASSERT_TRUE(view->linear_stages[i].packed_layout.has_value());
     EXPECT_TRUE(*view->linear_stages[i].packed_layout ==
                 *plan->linear_stages[i].packed_layout);
-    EXPECT_TRUE(view->linear_stages[i].packed_kernels.empty());
+    EXPECT_TRUE(view->linear_stages[i].kernels.empty());
   }
   EXPECT_EQ(view->PackedBatchLanes(), plan->PackedBatchLanes());
 

@@ -165,8 +165,9 @@ TEST(AffineComposeTest, RejectsScalePowerMismatch) {
   auto composed = IntegerAffineLayer::Compose(*fa, *fb2);
   ASSERT_TRUE(composed.ok()) << composed.status().ToString();
   EXPECT_EQ(composed->output_scale_power(), 3);
-  EXPECT_LE(composed->EncryptedScalarMuls(),
-            fa->EncryptedScalarMuls() + fb2->EncryptedScalarMuls());
+  EXPECT_LE(AffineKernel::WeightApplications(*composed),
+            AffineKernel::WeightApplications(*fa) +
+                AffineKernel::WeightApplications(*fb2));
 }
 
 TEST(AffineComposeTest, RejectsInt64WeightOverflow) {
